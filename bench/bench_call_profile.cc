@@ -4,8 +4,9 @@
 // about half of its calls to FLIPC to send or receive messages, and the
 // other half for message buffer management. An improved buffer management
 // design that frees the programmer from most of these details is clearly
-// called for." This bench runs two representative applications against the
-// instrumented API and reports the split.
+// called for." This bench runs two representative applications and reports
+// the split (CommBuffer::ApiCallProfile: the comm-resident api_* telemetry
+// cells plus the allocator's allocate/free counts).
 #include <cstdio>
 
 #include "bench/bench_common.h"
@@ -21,6 +22,12 @@ struct Profile {
     return 100.0 * static_cast<double>(messaging) /
            static_cast<double>(messaging + buffer_mgmt);
   }
+
+  void Add(Domain& domain) {
+    const shm::CommBuffer::CallProfile calls = domain.comm().ApiCallProfile();
+    messaging += calls.messaging;
+    buffer_mgmt += calls.buffer_management;
+  }
 };
 
 // A request/reply service: every message handled requires a receive, a
@@ -30,8 +37,7 @@ Profile RunRequestReply() {
   MustPingPong(*cluster, {.exchanges = 500});
   Profile p;
   for (NodeId n = 0; n < 2; ++n) {
-    p.messaging += cluster->domain(n).calls().MessagingCalls();
-    p.buffer_mgmt += cluster->domain(n).calls().BufferManagementCalls();
+    p.Add(cluster->domain(n));
   }
   return p;
 }
@@ -45,8 +51,7 @@ Profile RunEventStream() {
   MustStream(*cluster, config);
   Profile p;
   for (NodeId n = 0; n < 2; ++n) {
-    p.messaging += cluster->domain(n).calls().MessagingCalls();
-    p.buffer_mgmt += cluster->domain(n).calls().BufferManagementCalls();
+    p.Add(cluster->domain(n));
   }
   return p;
 }

@@ -5,7 +5,7 @@
 // number of endpoint slots even when only a handful are active. The
 // doorbell ring makes scheduling O(active): with 4 active senders the
 // per-message effort must stay flat from 4 to 4096 configured endpoints,
-// while the legacy full scan grows linearly.
+// while a full sweep of the endpoint table grows linearly.
 //
 // Two deterministic readings per configuration, plus a wall-clock one:
 //   * endpoints_visited / message — the engine's own scan-effort counter;
@@ -14,11 +14,13 @@
 //     loop (the simulated latency cannot show the effect: the platform
 //     model charges a fixed send overhead regardless of table size).
 //
-// The doorbell arm disables the periodic backstop sweep: every release in
-// this harness rings its doorbell, so the periodic sweep would only add a
+// Both arms run the same scheduler. The doorbell arm rings a doorbell per
+// release and disables the periodic backstop sweep, which would only add a
 // configurable amortized n/interval term that is not the hint path under
 // test (lost-doorbell recovery has its own tests and model-checker
-// schedules).
+// schedules). The sweep arm (the paper's O(configured) engine) rings no
+// doorbells and sets backstop_interval = 1, so every plan sweeps the whole
+// endpoint table.
 // Sharded mode (--shards=N [--endpoints=M]): N shard planners over one
 // communication buffer, each on its own thread, driving disjoint endpoint
 // ranges against per-shard null wires. Reports aggregate msgs/s, per-shard
@@ -89,8 +91,7 @@ ArmResult RunArm(std::uint32_t configured, bool doorbell) {
 
     engine::PlatformModel model;
     engine::EngineOptions options;
-    options.doorbell_scheduling = doorbell;
-    options.backstop_interval = doorbell ? 0 : 64;  // see header comment
+    options.backstop_interval = doorbell ? 0 : 1;  // see header comment
     engine::MessagingEngine tx_engine(**tx_comm, fabric.wire(0), options, &model);
     engine::MessagingEngine rx_engine(**rx_comm, fabric.wire(1), options, &model);
 
@@ -179,7 +180,7 @@ void Run(JsonReport& report) {
   const std::uint32_t configs[] = {4, 16, 64, 256, 1024, 4096};
 
   TextTable table({"configured", "active", "doorbell ns/msg", "doorbell visits/msg",
-                   "legacy ns/msg", "legacy visits/msg"});
+                   "sweep ns/msg", "sweep visits/msg"});
   std::vector<ArmResult> doorbell_arm;
 
   for (const std::uint32_t n : configs) {
@@ -196,9 +197,9 @@ void Run(JsonReport& report) {
     report.AddMetric(name, ring.host_ns_per_msg, "ns");
     std::snprintf(name, sizeof(name), "doorbell_visits_per_msg_n%u", n);
     report.AddMetric(name, ring.visited_per_msg, "endpoints");
-    std::snprintf(name, sizeof(name), "legacy_ns_per_msg_n%u", n);
+    std::snprintf(name, sizeof(name), "sweep_ns_per_msg_n%u", n);
     report.AddMetric(name, scan.host_ns_per_msg, "ns");
-    std::snprintf(name, sizeof(name), "legacy_visits_per_msg_n%u", n);
+    std::snprintf(name, sizeof(name), "sweep_visits_per_msg_n%u", n);
     report.AddMetric(name, scan.visited_per_msg, "endpoints");
   }
   std::printf("%s\n", table.ToString().c_str());
@@ -295,7 +296,6 @@ ShardArmResult RunShardArm(std::uint32_t shards, std::uint32_t endpoints) {
   for (std::uint32_t s = 0; s < shards; ++s) {
     wires.push_back(std::make_unique<NullWire>());
     engine::EngineOptions options;
-    options.doorbell_scheduling = true;
     options.backstop_interval = 0;  // see file header: doorbells never lost here
     options.shard_id = s;
     engines.push_back(std::make_unique<engine::MessagingEngine>(comm, *wires.back(), options));

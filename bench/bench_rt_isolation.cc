@@ -5,20 +5,23 @@
 // time for preventative maintenance, but must also ensure that the latter
 // message does not consume resources required to handle the former."
 // FLIPC's answer is structural: per-endpoint buffer resources separate the
-// classes, and the future-work priority extension makes the engine serve
-// high-priority send endpoints first.
+// classes, and the future-work prioritization (a deadline endpoint on the
+// QoS planner, DESIGN.md §15) makes the engine serve the critical send
+// endpoint first.
 //
 // Scenario: a sensor node emits a burst of background telemetry from eight
-// low-priority endpoints every 400 us, plus one critical message per burst
-// period from a high-priority endpoint, timed to land mid-burst. The
+// background endpoints every 400 us, plus one critical message per burst
+// period from a dedicated endpoint, timed to land mid-burst. The
 // tracker node drains periodically. Three configurations:
 //   1. shared   — critical messages target the same receive endpoint (and
 //                 buffers) as the telemetry: bursts exhaust the buffers and
 //                 the optimistic transport discards critical messages;
 //   2. separate — own receive endpoint and buffers: zero critical drops;
-//   3. priority — separate + priority-scan engine: the critical send jumps
-//                 the sender-side backlog, cutting delivery latency (the
-//                 residual latency is inbound FIFO at the receiving
+//   3. deadline — separate + the critical endpoint marked real-time
+//                 (deadline_ns) on an unbatched engine (transmit_batch 1,
+//                 one message per work unit): EDF lets the critical send
+//                 jump the sender-side backlog, cutting delivery latency
+//                 (the residual latency is inbound FIFO at the receiving
 //                 engine, which no sender-side policy can remove).
 //
 // QoS planner extension (DESIGN.md §15): a real-time endpoint in a
@@ -44,6 +47,7 @@ constexpr std::uint32_t kBgEndpoints = 8;
 constexpr std::uint32_t kBurstPerEndpoint = 8;
 constexpr DurationNs kDrainInterval = 250'000;
 constexpr std::uint32_t kCriticalMagic = 0xC417ACA1;
+constexpr std::uint32_t kCriticalDeadlineNs = 100'000;
 
 struct Outcome {
   RunningStats critical_latency_ns;  // engine delivery latency (separate only)
@@ -55,9 +59,11 @@ struct Outcome {
   std::uint64_t critical_lost() const { return critical_sent - critical_delivered; }
 };
 
-Outcome RunScenario(bool shared_endpoint, bool priority_scan) {
+Outcome RunScenario(bool shared_endpoint, bool deadline) {
   engine::EngineOptions engine_options;
-  engine_options.priority_scan = priority_scan;
+  if (deadline) {
+    engine_options.transmit_batch = 1;
+  }
   SimCluster::Options cluster_options;
   cluster_options.node_count = 2;
   cluster_options.comm.message_size = 128;
@@ -73,11 +79,10 @@ Outcome RunScenario(bool shared_endpoint, bool priority_scan) {
   Domain& tracker = cluster.domain(1);
   Outcome out;
 
-  // Background: eight low-priority send endpoints into one telemetry sink.
+  // Background: eight send endpoints into one telemetry sink.
   std::vector<Endpoint> bg_tx;
   for (std::uint32_t i = 0; i < kBgEndpoints; ++i) {
-    auto endpoint = sensor.CreateEndpoint(
-        {.type = shm::EndpointType::kSend, .queue_depth = 16, .priority = 1});
+    auto endpoint = sensor.CreateEndpoint({.type = shm::EndpointType::kSend, .queue_depth = 16});
     if (!endpoint.ok()) {
       std::abort();
     }
@@ -85,8 +90,9 @@ Outcome RunScenario(bool shared_endpoint, bool priority_scan) {
   }
   auto bg_rx =
       tracker.CreateEndpoint({.type = shm::EndpointType::kReceive, .queue_depth = 64});
-  auto crit_tx = sensor.CreateEndpoint(
-      {.type = shm::EndpointType::kSend, .queue_depth = 4, .priority = 9});
+  auto crit_tx = sensor.CreateEndpoint({.type = shm::EndpointType::kSend,
+                                        .queue_depth = 4,
+                                        .deadline_ns = deadline ? kCriticalDeadlineNs : 0});
   auto crit_rx = shared_endpoint
                      ? bg_rx
                      : tracker.CreateEndpoint(
@@ -214,7 +220,7 @@ struct QosOutcome {
 // bulk flood targets node 2 while the RT stream targets node 1, so the
 // contended resource is exactly the one the QoS planner manages — the
 // shared sending engine — and not the receiving engine's inbound FIFO
-// (which the legacy scenarios above already show no sender-side policy can
+// (which the scenarios above already show no sender-side policy can
 // remove). A short transmit batch keeps the planner's preemption points
 // frequent, so an RT arrival waits at most one small bulk assembly before
 // the deficit credits hand the engine to the RT class.
@@ -346,13 +352,13 @@ QosOutcome RunQosScenario(bool flood) {
 
 void Run(JsonReport& report) {
   PrintHeader("E10: bench_rt_isolation",
-              "Introduction (traffic classes) + Future Work (priority extension)",
+              "Introduction (traffic classes) + Future Work (real-time prioritization)",
               "separate endpoints isolate buffer resources from a telemetry flood; "
-              "the priority-scan engine serves the critical stream first");
+              "a deadline endpoint (EDF) serves the critical stream first");
 
-  const Outcome shared = RunScenario(/*shared_endpoint=*/true, /*priority_scan=*/false);
-  const Outcome separate = RunScenario(/*shared_endpoint=*/false, /*priority_scan=*/false);
-  const Outcome priority = RunScenario(/*shared_endpoint=*/false, /*priority_scan=*/true);
+  const Outcome shared = RunScenario(/*shared_endpoint=*/true, /*deadline=*/false);
+  const Outcome separate = RunScenario(/*shared_endpoint=*/false, /*deadline=*/false);
+  const Outcome edf = RunScenario(/*shared_endpoint=*/false, /*deadline=*/true);
 
   TextTable table({"configuration", "crit sent", "crit lost", "deliv latency us (mean/max)",
                    "bg delivered"});
@@ -369,9 +375,9 @@ void Run(JsonReport& report) {
   table.AddRow({"separate endpoints, round-robin", std::to_string(separate.critical_sent),
                 std::to_string(separate.critical_lost()), latency_cell(separate),
                 std::to_string(separate.background_delivered)});
-  table.AddRow({"separate endpoints, priority scan", std::to_string(priority.critical_sent),
-                std::to_string(priority.critical_lost()), latency_cell(priority),
-                std::to_string(priority.background_delivered)});
+  table.AddRow({"deadline endpoint (EDF), unbatched", std::to_string(edf.critical_sent),
+                std::to_string(edf.critical_lost()), latency_cell(edf),
+                std::to_string(edf.background_delivered)});
   std::printf("%s\n", table.ToString().c_str());
 
   std::printf("Shape checks:\n");
@@ -381,13 +387,13 @@ void Run(JsonReport& report) {
               static_cast<unsigned long long>(shared.critical_sent),
               shared.critical_lost() > 0 ? "[OK]" : "[MISMATCH]");
   std::printf("  - separate endpoints: zero critical losses %s\n",
-              (separate.critical_lost() == 0 && priority.critical_lost() == 0)
+              (separate.critical_lost() == 0 && edf.critical_lost() == 0)
                   ? "[OK]" : "[MISMATCH]");
-  std::printf("  - priority scan cuts mean delivery latency %.2f -> %.2f us %s\n"
+  std::printf("  - deadline endpoint (EDF) cuts mean delivery latency %.2f -> %.2f us %s\n"
               "    (residual is inbound FIFO at the receiving engine)\n\n",
               separate.critical_latency_ns.mean() / 1000.0,
-              priority.critical_latency_ns.mean() / 1000.0,
-              priority.critical_latency_ns.mean() < separate.critical_latency_ns.mean()
+              edf.critical_latency_ns.mean() / 1000.0,
+              edf.critical_latency_ns.mean() < separate.critical_latency_ns.mean()
                   ? "[OK]" : "[MISMATCH]");
 
   // QoS planner: the RT class must ride through a saturating bulk flood.
@@ -436,8 +442,8 @@ void Run(JsonReport& report) {
                    "messages");
   report.AddMetric("critical_latency_separate_mean",
                    separate.critical_latency_ns.mean() / 1000.0, "us");
-  report.AddMetric("critical_latency_priority_mean",
-                   priority.critical_latency_ns.mean() / 1000.0, "us");
+  report.AddMetric("critical_latency_edf_mean", edf.critical_latency_ns.mean() / 1000.0,
+                   "us");
   report.AddMetric("qos_rt_latency_isolated_mean",
                    rt_alone.rt_latency_ns.mean() / 1000.0, "us");
   report.AddMetric("qos_rt_latency_flood_mean",

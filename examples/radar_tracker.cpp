@@ -69,7 +69,6 @@ int main() {
                                             .group = routine_group->get()});
   auto threat_rx = tracker.CreateEndpoint({.type = flipc::shm::EndpointType::kReceive,
                                            .queue_depth = 8,
-                                           .priority = 9,
                                            .group = threat_group->get()});
   if (!routine_rx.ok() || !threat_rx.ok()) {
     return 1;
@@ -131,7 +130,13 @@ int main() {
       flipc::Domain& domain = (*cluster)->domain(s);
       auto tx = domain.CreateEndpoint(
           {.type = flipc::shm::EndpointType::kSend, .queue_depth = 8});
-      if (!tx.ok()) {
+      // Threats leave through their own real-time endpoint: its per-message
+      // deadline makes the sensor's engine send them ahead of queued
+      // routine updates (earliest-deadline-first, DESIGN.md §15).
+      auto threat_tx = domain.CreateEndpoint({.type = flipc::shm::EndpointType::kSend,
+                                              .queue_depth = 8,
+                                              .deadline_ns = 100'000});
+      if (!tx.ok() || !threat_tx.ok()) {
         return;
       }
       auto message = domain.AllocateBuffer();
@@ -141,14 +146,15 @@ int main() {
         update->sensor_id = s;
         update->track_id = i;
         update->is_threat = (i % kThreatEvery == 0) ? 1 : 0;
+        flipc::Endpoint& out = update->is_threat ? *threat_tx : *tx;
         const flipc::Address dst =
             update->is_threat ? threat_rx->address() : routine_rx->address();
-        while (!tx->Send(*message, dst).ok()) {
+        while (!out.Send(*message, dst).ok()) {
           std::this_thread::yield();  // queue full: back off (explicit resource control)
         }
         // Recover the buffer before reusing it (Figure 2, step 5).
         for (;;) {
-          auto reclaimed = tx->Reclaim();
+          auto reclaimed = out.Reclaim();
           if (reclaimed.ok()) {
             message = *reclaimed;
             break;

@@ -24,7 +24,6 @@ Result<std::unique_ptr<Domain>> Domain::Create(const Options& options,
 
 Result<MessageBuffer> Domain::AllocateBuffer() {
   FLIPC_ASSIGN_OR_RETURN(const waitfree::BufferIndex index, comm_->AllocateBuffer());
-  calls_.buffer_allocs.fetch_add(1, std::memory_order_relaxed);
   return MessageBuffer(index, comm_->msg(index));
 }
 
@@ -32,7 +31,6 @@ Status Domain::FreeBuffer(MessageBuffer buffer) {
   if (!buffer.valid()) {
     return InvalidArgumentStatus();
   }
-  calls_.buffer_frees.fetch_add(1, std::memory_order_relaxed);
   return comm_->FreeBuffer(buffer.index());
 }
 
@@ -47,9 +45,7 @@ Result<Endpoint> Domain::CreateEndpoint(const EndpointOptions& options) {
   shm::CommBuffer::EndpointParams params;
   params.type = options.type;
   params.queue_capacity = options.queue_depth;
-  params.priority = options.priority;
   params.allowed_peer = options.allowed_peer.packed();
-  params.min_send_interval_ns = options.min_send_interval_ns;
   params.qos_class = options.qos_class;
   params.deadline_ns = options.deadline_ns;
   params.bucket_capacity = options.bucket_capacity;

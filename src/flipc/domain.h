@@ -11,7 +11,6 @@
 #ifndef SRC_FLIPC_DOMAIN_H_
 #define SRC_FLIPC_DOMAIN_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -32,29 +31,6 @@
 namespace flipc {
 
 class EndpointGroup;
-
-// Per-domain API call counters, kept to reproduce the paper's future-work
-// observation that "a FLIPC application can expect to employ about half of
-// its calls to FLIPC to send or receive messages, and the other half for
-// message buffer management" (experiment E11).
-struct CallCounters {
-  std::atomic<std::uint64_t> sends{0};
-  std::atomic<std::uint64_t> receives{0};
-  std::atomic<std::uint64_t> buffer_posts{0};
-  std::atomic<std::uint64_t> buffer_reclaims{0};
-  std::atomic<std::uint64_t> buffer_allocs{0};
-  std::atomic<std::uint64_t> buffer_frees{0};
-
-  std::uint64_t MessagingCalls() const {
-    return sends.load(std::memory_order_relaxed) + receives.load(std::memory_order_relaxed);
-  }
-  std::uint64_t BufferManagementCalls() const {
-    return buffer_posts.load(std::memory_order_relaxed) +
-           buffer_reclaims.load(std::memory_order_relaxed) +
-           buffer_allocs.load(std::memory_order_relaxed) +
-           buffer_frees.load(std::memory_order_relaxed);
-  }
-};
 
 class Domain {
  public:
@@ -111,8 +87,6 @@ class Domain {
     std::uint32_t queue_depth = 16;  // power of two
     // Allocate a real-time semaphore so blocking operations work.
     bool enable_semaphore = false;
-    // Engine scan priority (priority_scan engines transmit higher first).
-    std::uint32_t priority = shm::kDefaultEndpointPriority;
     // Membership: share the group's semaphore and be scanned by its
     // Receive()/ReceiveBlocking(). Implies semaphore signaling.
     EndpointGroup* group = nullptr;
@@ -120,9 +94,6 @@ class Domain {
     // (engine-enforced, so an untrusted application cannot spray other
     // applications' endpoints). Invalid = unrestricted.
     Address allowed_peer = Address::Invalid();
-    // Capacity-control extension: minimum ns between transmissions from
-    // this send endpoint (engine-enforced token spacing). 0 = unlimited.
-    std::uint32_t min_send_interval_ns = 0;
     // QoS planner (DESIGN.md §15): weighted service class 0..3. When
     // several classes hold backlog, the engine's deficit-weighted planner
     // shares transmissions proportionally to the per-class weights
@@ -133,8 +104,9 @@ class Domain {
     // earliest-deadline-first within its class, deadline-miss accounting
     // in telemetry. 0 = not real-time.
     std::uint32_t deadline_ns = 0;
-    // Token-bucket rate limit (engine-enforced, generalizes
-    // min_send_interval_ns): burst capacity in messages. 0 = no bucket.
+    // Token-bucket rate limit (engine-enforced capacity control): burst
+    // capacity in messages. 0 = no bucket. Capacity 1 spaces transmissions
+    // at least bucket_refill_ns apart.
     std::uint32_t bucket_capacity = 0;
     // ns to refill one bucket token; 0 with nonzero capacity means the
     // bucket never refills (hard burst cap).
@@ -161,7 +133,6 @@ class Domain {
   FLIPC_ROLE_QUIESCENT Status QuiesceAndDestroyEndpoint(Endpoint& endpoint);
 
   simos::SemaphoreTable* semaphores() { return semaphores_; }
-  CallCounters& calls() { return calls_; }
 
   // Application-side flight recorder: successful API operations append the
   // kApi* events. The ring is caller-owned and process-local (it holds
@@ -196,7 +167,6 @@ class Domain {
   simos::SemaphoreTable* semaphores_;
   std::function<void()> kick_;
   std::function<void(std::uint32_t)> shard_kick_;
-  CallCounters calls_;
   TraceRing* trace_ = nullptr;
   const Clock* trace_clock_ = nullptr;
 

@@ -75,7 +75,6 @@ Status Endpoint::ReleaseCommon(MessageBuffer& buffer, Address dst, EndpointType 
     telemetry.RecordApiSend();
     telemetry.RecordDoorbell(rang);
     domain_->TraceApi(TraceEvent::kApiSend, index_, buffer.index());
-    domain_->calls().sends.fetch_add(1, std::memory_order_relaxed);
     {
       // Kicking the engine out of its idle park is a host-thread artifact
       // (condvar notify under the runner's mutex); on the Paragon the engine
@@ -86,7 +85,6 @@ Status Endpoint::ReleaseCommon(MessageBuffer& buffer, Address dst, EndpointType 
   } else {
     telemetry.RecordApiPost();
     domain_->TraceApi(TraceEvent::kApiPostBuffer, index_, buffer.index());
-    domain_->calls().buffer_posts.fetch_add(1, std::memory_order_relaxed);
   }
   return OkStatus();
 }
@@ -118,11 +116,9 @@ Result<MessageBuffer> Endpoint::AcquireCommon(EndpointType expected, bool locked
   if (expected == EndpointType::kReceive) {
     telemetry.RecordApiReceive();
     domain_->TraceApi(TraceEvent::kApiReceive, index_, index);
-    domain_->calls().receives.fetch_add(1, std::memory_order_relaxed);
   } else {
     telemetry.RecordApiReclaim();
     domain_->TraceApi(TraceEvent::kApiReclaim, index_, index);
-    domain_->calls().buffer_reclaims.fetch_add(1, std::memory_order_relaxed);
   }
   return MessageBuffer(index, domain_->comm().msg(index));
 }

@@ -290,6 +290,7 @@ Result<BufferIndex> CommBuffer::AllocateBuffer() {
   const BufferIndex index = header_->free_head;
   header_->free_head = freelist()[index];
   --header_->free_count;
+  ++buffer_allocations_;
   msg(index).header->state.Store(waitfree::MsgState::kFree);
   return index;
 }
@@ -302,12 +303,25 @@ Status CommBuffer::FreeBuffer(BufferIndex index) {
   freelist()[index] = header_->free_head;
   header_->free_head = index;
   ++header_->free_count;
+  ++buffer_frees_;
   return OkStatus();
 }
 
 std::uint32_t CommBuffer::FreeBufferCount() {
   ScopedLock<TasLock> guard(header_->alloc_lock);
   return header_->free_count;
+}
+
+CommBuffer::CallProfile CommBuffer::ApiCallProfile() {
+  CallProfile profile;
+  for (std::uint32_t i = 0; i < header_->max_endpoints; ++i) {
+    const TelemetryBlock& t = telemetry(i);
+    profile.messaging += t.api_sends.Read() + t.api_receives.Read();
+    profile.buffer_management += t.api_posts.Read() + t.api_reclaims.Read();
+  }
+  ScopedLock<TasLock> guard(header_->alloc_lock);
+  profile.buffer_management += buffer_allocations_ + buffer_frees_;
+  return profile;
 }
 
 Result<std::uint32_t> CommBuffer::AllocateEndpoint(const EndpointParams& params) {
@@ -367,10 +381,8 @@ Result<std::uint32_t> CommBuffer::AllocateEndpoint(const EndpointParams& params)
 
   record.queue_capacity.StoreRelaxed(params.queue_capacity);
   record.semaphore_id.StoreRelaxed(params.semaphore_id);
-  record.priority.StoreRelaxed(params.priority);
   record.options.StoreRelaxed(params.options);
   record.allowed_peer.StoreRelaxed(params.allowed_peer);
-  record.min_send_interval_ns.StoreRelaxed(params.min_send_interval_ns);
   // The owning shard follows from the slot index (contiguous block
   // assignment); published on the record so the application library rings
   // the right doorbell without recomputing the mapping.

@@ -148,7 +148,10 @@ inline constexpr std::uint64_t kCommBufferMagic = 0x464c495043313936ull;  // "FL
 // (qos_class, deadline_ns, bucket_capacity, bucket_refill_ns,
 // alloc_generation) and three engine-side QoS counters on the telemetry
 // block (deadline_misses, max_service_gap_ns, throttle_deferrals).
-inline constexpr std::uint32_t kCommBufferVersion = 5;
+// Version 6 removed two endpoint config cells: the scan priority (the QoS
+// planner's deadlines and classes replace it) and the fixed send interval
+// (a capacity-1 token bucket replaces it).
+inline constexpr std::uint32_t kCommBufferVersion = 6;
 
 class CommBuffer {
  public:
@@ -201,6 +204,15 @@ class CommBuffer {
   FLIPC_ROLE_APP Result<BufferIndex> AllocateBuffer();
   FLIPC_ROLE_APP Status FreeBuffer(BufferIndex index);
   std::uint32_t FreeBufferCount();
+  // Experiment E11's API call profile: send/receive calls vs buffer
+  // management calls. Send, receive, post and reclaim come from the api_*
+  // telemetry cells of every endpoint slot; allocate and free are the
+  // successful AllocateBuffer/FreeBuffer calls made through this handle.
+  struct CallProfile {
+    std::uint64_t messaging = 0;
+    std::uint64_t buffer_management = 0;
+  };
+  CallProfile ApiCallProfile();
 
   // View of a buffer; callers must pass a valid index.
   MsgView msg(BufferIndex index);
@@ -217,12 +229,9 @@ class CommBuffer {
     std::uint32_t queue_capacity = 16;  // power of two
     std::uint32_t options = kEndpointOptNone;
     std::uint32_t semaphore_id = kNoSemaphore;
-    std::uint32_t priority = kDefaultEndpointPriority;
     // Packed Address of the only permitted destination (send endpoints);
     // 0xffffffff = unrestricted.
     std::uint32_t allowed_peer = 0xffffffffu;
-    // Minimum ns between transmissions (send endpoints); 0 = unlimited.
-    std::uint32_t min_send_interval_ns = 0;
     // Restrict allocation to the slot range of one shard (DESIGN.md §12);
     // kAnyShard picks the first free slot regardless of shard.
     std::uint32_t shard = kAnyShard;
@@ -287,6 +296,8 @@ class CommBuffer {
   std::byte* base_ = nullptr;
   CommBufferHeader* header_ = nullptr;
   bool owns_ = false;
+  std::uint64_t buffer_allocations_ = 0;  // guarded by header_->alloc_lock
+  std::uint64_t buffer_frees_ = 0;        // guarded by header_->alloc_lock
 };
 
 }  // namespace flipc::shm

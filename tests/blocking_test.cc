@@ -170,6 +170,7 @@ TEST(Blocking, GroupConsumerDrainsConcurrentSenders) {
 
   auto group = EndpointGroup::Create(b);
   ASSERT_TRUE(group.ok());
+  constexpr int kPosted = 8;  // receive buffers per member
   std::vector<Endpoint> members;
   for (int i = 0; i < 3; ++i) {
     Domain::EndpointOptions options;
@@ -179,20 +180,31 @@ TEST(Blocking, GroupConsumerDrainsConcurrentSenders) {
     auto endpoint = b.CreateEndpoint(options);
     ASSERT_TRUE(endpoint.ok());
     members.push_back(*endpoint);
-    for (int j = 0; j < 8; ++j) {
+    for (int j = 0; j < kPosted; ++j) {
       auto buffer = b.AllocateBuffer();
       ASSERT_TRUE(endpoint->PostBuffer(*buffer).ok());
     }
   }
 
   constexpr int kPerSender = 30;
+  // Reclaim only means the sending engine transmitted, so each sender also
+  // paces on the consumer: with fewer than kPosted of its messages
+  // unconsumed (each buffer is reposted before it is counted), every
+  // arrival finds a buffer and zero drops is a guarantee of the optimistic
+  // protocol rather than scheduling luck.
   std::atomic<int> consumed{0};
+  std::atomic<int> consumed_from[3] = {0, 0, 0};
   std::thread consumer([&] {
     for (int i = 0; i < 3 * kPerSender; ++i) {
       auto result = (*group)->ReceiveBlocking(simos::kMinPriority, 10'000'000'000);
       ASSERT_TRUE(result.ok());
       ++consumed;
       ASSERT_TRUE(result->endpoint.PostBuffer(result->buffer).ok());
+      for (int m = 0; m < 3; ++m) {
+        if (members[static_cast<std::size_t>(m)].index() == result->endpoint.index()) {
+          consumed_from[m].fetch_add(1, std::memory_order_release);
+        }
+      }
     }
   });
 
@@ -204,6 +216,9 @@ TEST(Blocking, GroupConsumerDrainsConcurrentSenders) {
       auto msg = a.AllocateBuffer();
       ASSERT_TRUE(msg.ok());
       for (int i = 0; i < kPerSender; ++i) {
+        while (i - consumed_from[t].load(std::memory_order_acquire) >= kPosted) {
+          std::this_thread::yield();
+        }
         while (!tx->Send(*msg, members[static_cast<std::size_t>(t)].address()).ok()) {
           std::this_thread::yield();
         }

@@ -182,6 +182,13 @@ TEST(Cluster, ManyToOneTrafficNoLoss) {
   }
 
   constexpr int kPerSender = 40;
+  // Reclaim only means the sending engine transmitted, so each sender also
+  // paces on the sink's progress: with fewer than kWindow of its messages
+  // unconsumed (3 * kWindow <= 64 posted buffers, each reposted before it
+  // is counted), every arrival finds a posted buffer and zero drops is a
+  // guarantee of the optimistic protocol rather than scheduling luck.
+  constexpr std::uint32_t kWindow = 21;
+  std::atomic<std::uint32_t> consumed[3] = {0, 0, 0};
   std::vector<std::thread> senders;
   for (NodeId n = 0; n < 3; ++n) {
     senders.emplace_back([&, n] {
@@ -191,6 +198,9 @@ TEST(Cluster, ManyToOneTrafficNoLoss) {
       auto msg = d.AllocateBuffer();
       ASSERT_TRUE(msg.ok());
       for (std::uint32_t i = 0; i < kPerSender; ++i) {
+        while (i - consumed[n].load(std::memory_order_acquire) >= kWindow) {
+          std::this_thread::yield();
+        }
         *msg->As<std::uint32_t>() = (n << 16) | i;
         ASSERT_TRUE(tx->Send(*msg, sink->address()).ok());
         msg = *PollUntilOk([&] { return tx->Reclaim(); });
@@ -216,6 +226,7 @@ TEST(Cluster, ManyToOneTrafficNoLoss) {
     }
     last_seq[sender] = seq;
     ASSERT_TRUE(sink->PostBuffer(*message).ok());
+    consumed[sender].fetch_add(1, std::memory_order_release);
     ++received;
   }
   for (auto& t : senders) {
@@ -270,40 +281,35 @@ TEST(Cluster, ShardedNodeDeliversAcrossHandoff) {
   // Alternate destinations so the distributor interleaves direct delivery
   // with handoff pushes; per-endpoint FIFO must survive the split.
   constexpr std::uint32_t kPerEndpoint = 64;
+  constexpr std::uint32_t kPosted = 16;
+  std::uint32_t expect[2] = {0, 0};
+  std::uint32_t got[2] = {0, 0};
+  Endpoint* rx[2] = {&*rx0, &*rx1};
+  const auto receive_one = [&](int e) {
+    auto message = PollUntilOk([&] { return rx[e]->Receive(); });
+    ASSERT_TRUE(message.ok());
+    EXPECT_EQ(*message->As<std::uint32_t>(), expect[e]++);
+    ASSERT_TRUE(rx[e]->PostBuffer(*message).ok());
+    ++got[e];
+  };
   auto msg = a.AllocateBuffer();
   ASSERT_TRUE(msg.ok());
-  std::uint32_t expect0 = 0, expect1 = 0, got0 = 0, got1 = 0;
   for (std::uint32_t i = 0; i < 2 * kPerEndpoint; ++i) {
-    Endpoint& dst = (i % 2 == 0) ? *rx0 : *rx1;
-    *msg->As<std::uint32_t>() = i / 2;
-    ASSERT_TRUE(tx->Send(*msg, dst.address()).ok());
-    msg = *PollUntilOk([&] { return tx->Reclaim(); });
-
-    // Drain opportunistically to keep the posted-buffer pools from running
-    // dry; final drain below picks up the rest.
-    for (auto [rx, expect, got] :
-         {std::tuple{&*rx0, &expect0, &got0}, std::tuple{&*rx1, &expect1, &got1}}) {
-      auto message = rx->Receive();
-      if (message.ok()) {
-        EXPECT_EQ(*message->As<std::uint32_t>(), (*expect)++);
-        ASSERT_TRUE(rx->PostBuffer(*message).ok());
-        ++*got;
-      }
+    const int e = static_cast<int>(i % 2);
+    // Reclaim only means the sending engine transmitted; also pace on
+    // consumption, keeping fewer than kPosted of this endpoint's messages
+    // outstanding so every arrival finds a posted buffer.
+    if (i / 2 - got[e] >= kPosted) {
+      receive_one(e);
     }
+    *msg->As<std::uint32_t>() = i / 2;
+    ASSERT_TRUE(tx->Send(*msg, rx[e]->address()).ok());
+    msg = *PollUntilOk([&] { return tx->Reclaim(); });
   }
-  while (got0 < kPerEndpoint) {
-    auto message = PollUntilOk([&] { return rx0->Receive(); });
-    ASSERT_TRUE(message.ok());
-    EXPECT_EQ(*message->As<std::uint32_t>(), expect0++);
-    ASSERT_TRUE(rx0->PostBuffer(*message).ok());
-    ++got0;
-  }
-  while (got1 < kPerEndpoint) {
-    auto message = PollUntilOk([&] { return rx1->Receive(); });
-    ASSERT_TRUE(message.ok());
-    EXPECT_EQ(*message->As<std::uint32_t>(), expect1++);
-    ASSERT_TRUE(rx1->PostBuffer(*message).ok());
-    ++got1;
+  for (int e = 0; e < 2; ++e) {
+    while (got[e] < kPerEndpoint && !::testing::Test::HasFatalFailure()) {
+      receive_one(e);
+    }
   }
   EXPECT_EQ(rx0->DropCount(), 0u);
   EXPECT_EQ(rx1->DropCount(), 0u);
@@ -348,11 +354,22 @@ TEST(Cluster, LockedVariantsSafeWithConcurrentSenders) {
   auto tx = a.CreateEndpoint({.type = shm::EndpointType::kSend, .queue_depth = 32});
   ASSERT_TRUE(tx.ok());
   constexpr int kPerThread = 50;
+  // Reclaim only means the sending engine transmitted, so the senders also
+  // pace on the receiver: each passes the check below with at most
+  // kWindow - 1 messages unconsumed, so at most kWindow + 1 are ever
+  // outstanding — fewer than the 64 posted buffers, each reposted before it
+  // is counted — and zero drops is a guarantee of the optimistic protocol
+  // rather than scheduling luck.
+  constexpr int kWindow = 32;
   std::atomic<int> sent{0};
+  std::atomic<int> received{0};
   auto sender = [&] {
     auto msg = a.AllocateBuffer();
     ASSERT_TRUE(msg.ok());
     for (int i = 0; i < kPerThread; ++i) {
+      while (sent.load() - received.load() >= kWindow) {
+        std::this_thread::yield();
+      }
       while (!tx->Send(*msg, rx->address()).ok()) {
         std::this_thread::yield();
       }
@@ -362,8 +379,7 @@ TEST(Cluster, LockedVariantsSafeWithConcurrentSenders) {
   };
   std::thread t1(sender), t2(sender);
 
-  int received = 0;
-  while (received < 2 * kPerThread) {
+  while (received.load() < 2 * kPerThread) {
     auto message = PollUntilOk([&] { return rx->Receive(); });
     ASSERT_TRUE(message.ok());
     ASSERT_TRUE(rx->PostBuffer(*message).ok());
@@ -420,7 +436,8 @@ TEST(Cluster, IdleParkWakesAtUnthrottleDeadline) {
   Domain::EndpointOptions tx_options;
   tx_options.type = shm::EndpointType::kSend;
   tx_options.queue_depth = 8;
-  tx_options.min_send_interval_ns = 2'000'000;  // second send due at +2 ms
+  tx_options.bucket_capacity = 1;  // second send due at +2 ms
+  tx_options.bucket_refill_ns = 2'000'000;
   auto tx = a.CreateEndpoint(tx_options);
   ASSERT_TRUE(tx.ok());
 

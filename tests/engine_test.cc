@@ -57,12 +57,10 @@ class EngineTest : public ::testing::Test {
   }
 
   // Creates an endpoint and returns its index.
-  std::uint32_t MakeEndpoint(int node, EndpointType type, std::uint32_t depth = 8,
-                             std::uint32_t priority = 0) {
+  std::uint32_t MakeEndpoint(int node, EndpointType type, std::uint32_t depth = 8) {
     CommBuffer::EndpointParams params;
     params.type = type;
     params.queue_capacity = depth;
-    params.priority = priority;
     auto index = comm_[node]->AllocateEndpoint(params);
     EXPECT_TRUE(index.ok());
     return *index;
@@ -265,12 +263,17 @@ TEST_F(EngineTest, RoundRobinAcrossSendEndpoints) {
   EXPECT_EQ(arrival_order, (std::vector<std::string>{"a1", "b1", "a2", "b2"}));
 }
 
-TEST_F(EngineTest, PriorityScanPrefersHighPriorityEndpoint) {
-  options_.priority_scan = true;
-  engine_[0] = std::make_unique<MessagingEngine>(*comm_[0], fabric_->wire(0), options_,
-                                                 &model_);
-  const std::uint32_t tx_low = MakeEndpoint(0, EndpointType::kSend, 8, /*priority=*/1);
-  const std::uint32_t tx_high = MakeEndpoint(0, EndpointType::kSend, 8, /*priority=*/9);
+// A real-time endpoint (deadline_ns != 0) on an unbatched engine sends its
+// whole backlog before a non-real-time endpoint that queued first.
+TEST_F(EngineTest, DeadlineEndpointSendsBeforeBulkBacklog) {
+  options_.transmit_batch = 1;  // one message per work unit
+  RebuildEngines();
+  CommBuffer::EndpointParams params;
+  params.type = EndpointType::kSend;
+  params.queue_capacity = 8;
+  const std::uint32_t tx_low = MakeEndpointQos(0, params);
+  params.deadline_ns = 100'000;
+  const std::uint32_t tx_high = MakeEndpointQos(0, params);
   const std::uint32_t rx = MakeEndpoint(1, EndpointType::kReceive);
   const Address dst(1, static_cast<std::uint16_t>(rx));
   for (int i = 0; i < 4; ++i) {
@@ -297,19 +300,20 @@ TEST_F(EngineTest, PriorityScanPrefersHighPriorityEndpoint) {
   EXPECT_EQ(order, (std::vector<std::string>{"high1", "high2", "low1", "low2"}));
 }
 
-// Regression: a priority preemption must not reset the round-robin rotation
-// point. The old code advanced scan_cursor_ past whichever endpoint was
-// delivered, so after every high-priority preemption the next scan restarted
-// just past the HIGH endpoint, re-served the first ready low-priority
-// endpoint, and starved the equal-priority endpoints behind it.
-TEST_F(EngineTest, PriorityPreemptionDoesNotResetRotation) {
-  options_.priority_scan = true;
-  engine_[0] = std::make_unique<MessagingEngine>(*comm_[0], fabric_->wire(0), options_,
-                                                 &model_);
-  const std::uint32_t low[3] = {MakeEndpoint(0, EndpointType::kSend, 8, /*priority=*/1),
-                                MakeEndpoint(0, EndpointType::kSend, 8, /*priority=*/1),
-                                MakeEndpoint(0, EndpointType::kSend, 8, /*priority=*/1)};
-  const std::uint32_t high = MakeEndpoint(0, EndpointType::kSend, 8, /*priority=*/9);
+// A real-time preemption must not reset the round-robin rotation among the
+// non-real-time endpoints: after each preemption the rotation continues with
+// the next endpoint instead of re-serving the first ready one and starving
+// the endpoints behind it.
+TEST_F(EngineTest, DeadlinePreemptionDoesNotResetRotation) {
+  options_.transmit_batch = 1;  // one message per work unit
+  RebuildEngines();
+  CommBuffer::EndpointParams params;
+  params.type = EndpointType::kSend;
+  params.queue_capacity = 8;
+  const std::uint32_t low[3] = {MakeEndpointQos(0, params), MakeEndpointQos(0, params),
+                                MakeEndpointQos(0, params)};
+  params.deadline_ns = 100'000;
+  const std::uint32_t high = MakeEndpointQos(0, params);
   const std::uint32_t rx = MakeEndpoint(1, EndpointType::kReceive);
   const Address dst(1, static_cast<std::uint16_t>(rx));
   for (int i = 0; i < 6; ++i) {
@@ -323,15 +327,16 @@ TEST_F(EngineTest, PriorityPreemptionDoesNotResetRotation) {
     }
   }
 
-  // Three rounds of: one low-priority delivery, then a high-priority message
-  // arrives and preempts. Equal-priority rotation must still visit each low
-  // endpoint once per cycle.
+  // Three rounds of: one low endpoint's delivery, then a real-time message
+  // arrives (with its doorbell, as the library sends it) and preempts. The
+  // rotation must still visit each low endpoint once per cycle.
   for (int round = 1; round <= 3; ++round) {
     engine_[0]->Step();  // a low endpoint (high queue is empty)
     char text[16];
     std::snprintf(text, sizeof(text), "h%d", round);
     QueueSend(0, high, dst, text);
-    engine_[0]->Step();  // the high endpoint preempts
+    comm_[0]->doorbell_ring().Ring(high);
+    engine_[0]->Step();  // the real-time endpoint preempts
   }
   sim_.Run();
   while (engine_[1]->Step()) {
@@ -884,6 +889,42 @@ TEST_F(EngineTest, TokenBucketAllowsBurstThenSustainedRate) {
   EXPECT_EQ(comm_[0]->telemetry(tx).engine_transmits.Read(), 6u);
 }
 
+// Regression: a token spent from a full bucket restarts accrual at the
+// spend. A fresh slot's bucket is anchored when the planner first touches
+// it; if the spend kept that anchor, the time the bucket sat full between
+// plan and commit would count toward the next token and the second send
+// could leave up to one refill interval early.
+TEST_F(EngineTest, TokenSpentFromFullBucketRestartsAccrual) {
+  ManualClock clock;
+  clock.AdvanceTo(1'000'000);
+  engine_[0]->SetClock(&clock);
+
+  CommBuffer::EndpointParams params;
+  params.type = EndpointType::kSend;
+  params.queue_capacity = 8;
+  params.bucket_capacity = 1;
+  params.bucket_refill_ns = 100'000;
+  const std::uint32_t tx = MakeEndpointQos(0, params);
+  QueueSend(0, tx, Address(1, 0));
+  QueueSend(0, tx, Address(1, 0));
+
+  EXPECT_GT(engine_[0]->PlanStep(), 0);  // first touch anchors the bucket
+  clock.AdvanceTo(1'050'000);
+  EXPECT_TRUE(engine_[0]->CommitStep());
+  EXPECT_EQ(comm_[0]->telemetry(tx).engine_transmits.Read(), 1u);
+
+  clock.AdvanceTo(1'100'000);
+  while (engine_[0]->Step()) {
+  }
+  EXPECT_EQ(comm_[0]->telemetry(tx).engine_transmits.Read(), 1u);
+  EXPECT_EQ(engine_[0]->NextUnthrottleTime(), 1'150'000);
+
+  clock.AdvanceTo(1'150'000);
+  while (engine_[0]->Step()) {
+  }
+  EXPECT_EQ(comm_[0]->telemetry(tx).engine_transmits.Read(), 2u);
+}
+
 // The starvation counter fires while ready work sits behind a rate gate,
 // and stops once the backlog drains.
 TEST_F(EngineTest, ThrottleDeferralsCountWhileBacklogWaits) {
@@ -894,7 +935,8 @@ TEST_F(EngineTest, ThrottleDeferralsCountWhileBacklogWaits) {
   CommBuffer::EndpointParams params;
   params.type = EndpointType::kSend;
   params.queue_capacity = 8;
-  params.min_send_interval_ns = 100'000;
+  params.bucket_capacity = 1;  // one send per 100 us
+  params.bucket_refill_ns = 100'000;
   const std::uint32_t tx = MakeEndpointQos(0, params);
   QueueSend(0, tx, Address(1, 0));
   QueueSend(0, tx, Address(1, 0));
@@ -925,7 +967,8 @@ TEST_F(EngineTest, DeadlineMissAndServiceGapRecorded) {
   params.type = EndpointType::kSend;
   params.queue_capacity = 8;
   params.deadline_ns = 50'000;
-  params.min_send_interval_ns = 200'000;
+  params.bucket_capacity = 1;  // one send per 200 us
+  params.bucket_refill_ns = 200'000;
   const std::uint32_t tx = MakeEndpointQos(0, params);
   QueueSend(0, tx, Address(1, 0));
   QueueSend(0, tx, Address(1, 0));

@@ -103,11 +103,12 @@ std::unique_ptr<Cluster> MakeShardedCluster(std::uint32_t shards) {
 // comm-buffer telemetry identities audit clean afterwards.
 void KillRestartMidFlood(std::uint32_t victim_shard, std::uint64_t loss_budget,
                          const char* test_name) {
-  ScopedPostmortem postmortem(test_name);
   // TraceRings are single-writer: one flight recorder per planner shard,
   // never shared. A restarted engine is a new object, so its ring must be
-  // re-attached after RestartShard.
+  // re-attached after RestartShard. Declared before the postmortem, which
+  // reads them in its destructor.
   TraceRing rx_trace[2] = {TraceRing(8192), TraceRing(8192)};
+  ScopedPostmortem postmortem(test_name);
 
   auto cluster = MakeShardedCluster(2);
   Domain& a = cluster->domain(0);
@@ -125,8 +126,9 @@ void KillRestartMidFlood(std::uint32_t victim_shard, std::uint64_t loss_budget,
   auto rx1 = b.CreateEndpoint(
       {.type = shm::EndpointType::kReceive, .queue_depth = 32, .shard = 1});
   ASSERT_TRUE(rx0.ok() && rx1.ok());
+  constexpr std::uint64_t kPostedPerEndpoint = 32;
   for (auto* rx : {&*rx0, &*rx1}) {
-    for (int i = 0; i < 32; ++i) {
+    for (std::uint64_t i = 0; i < kPostedPerEndpoint; ++i) {
       auto buffer = b.AllocateBuffer();
       ASSERT_TRUE(buffer.ok());
       ASSERT_TRUE(rx->PostBuffer(*buffer).ok());
@@ -160,9 +162,24 @@ void KillRestartMidFlood(std::uint32_t victim_shard, std::uint64_t loss_budget,
     }
   });
 
+  // Every message ends as a delivery or a posted-buffer discard.
+  const auto accounted = [&] {
+    return received.load(std::memory_order_acquire) + rx0->DropCount() +
+           rx1->DropCount();
+  };
+
   auto msg = a.AllocateBuffer();
   ASSERT_TRUE(msg.ok());
   for (std::uint64_t i = 0; i < kMessages; ++i) {
+    // While both shards are alive, pace the flood to fewer outstanding
+    // messages than either endpoint has posted buffers, so a descheduled
+    // receiver thread cannot turn into optimistic discards. Between kill
+    // and restart the flood runs unpaced and piles up behind the victim.
+    if (i < kKillAt || i >= kRestartAt) {
+      for (int spin = 0; spin < 200000 && i - accounted() >= kPostedPerEndpoint; ++spin) {
+        std::this_thread::yield();
+      }
+    }
     if (i == kKillAt) {
       ASSERT_TRUE(cluster->KillShard(1, victim_shard));
       ASSERT_FALSE(cluster->shard_alive(1, victim_shard));
@@ -185,13 +202,9 @@ void KillRestartMidFlood(std::uint32_t victim_shard, std::uint64_t loss_budget,
     msg = *PollUntilOk([&] { return tx->Reclaim(); });
   }
 
-  // Quiesce: wait until every message is accounted for as a delivery or a
-  // posted-buffer discard, within the documented loss budget (a killed
-  // engine's in-flight packets die with its heap).
-  const auto accounted = [&] {
-    return received.load(std::memory_order_relaxed) + rx0->DropCount() +
-           rx1->DropCount();
-  };
+  // Quiesce: wait until every message is accounted for, within the
+  // documented loss budget (a killed engine's in-flight packets die with
+  // its heap).
   for (int i = 0; i < 200000 && accounted() + loss_budget < kMessages; ++i) {
     std::this_thread::yield();
   }
@@ -200,8 +213,8 @@ void KillRestartMidFlood(std::uint32_t victim_shard, std::uint64_t loss_budget,
   EXPECT_LE(accounted(), kMessages);
   EXPECT_GE(accounted() + loss_budget, kMessages);
 
-  // Delivery resumed on the victim shard after restart: the flood's tail
-  // (post-restart messages to the victim's endpoint) landed.
+  // Delivery resumed on the victim shard after restart: the flood's paced
+  // tail (post-restart messages to the victim's endpoint) landed.
   Endpoint& victim_rx = victim_shard == 0 ? *rx0 : *rx1;
   EXPECT_GT(victim_rx.ProcessedCount(), (kRestartAt + 1) / 2);
 
@@ -256,10 +269,11 @@ TEST(FailureScenarios, ChurnSlotReuseUnderCrossTraffic) {
   Domain& b = cluster->domain(1);
 
   // Cross-traffic: a survivor pair that must be unperturbed by the churn.
+  constexpr std::uint32_t kCrossPosted = 64;
   auto rx_cross = b.CreateEndpoint(
-      {.type = shm::EndpointType::kReceive, .queue_depth = 64});
+      {.type = shm::EndpointType::kReceive, .queue_depth = kCrossPosted});
   ASSERT_TRUE(rx_cross.ok());
-  for (int i = 0; i < 64; ++i) {
+  for (std::uint32_t i = 0; i < kCrossPosted; ++i) {
     auto buffer = b.AllocateBuffer();
     ASSERT_TRUE(buffer.ok());
     ASSERT_TRUE(rx_cross->PostBuffer(*buffer).ok());
@@ -287,7 +301,7 @@ TEST(FailureScenarios, ChurnSlotReuseUnderCrossTraffic) {
         if (message.ok()) {
           ASSERT_TRUE(rx->PostBuffer(*message).ok());
           if (rx == &*rx_cross) {
-            cross_received.fetch_add(1, std::memory_order_relaxed);
+            cross_received.fetch_add(1, std::memory_order_release);
           }
           any = true;
         }
@@ -307,6 +321,14 @@ TEST(FailureScenarios, ChurnSlotReuseUnderCrossTraffic) {
     auto msg = a.AllocateBuffer();
     ASSERT_TRUE(msg.ok());
     for (std::uint64_t i = 0; i < kCrossMessages; ++i) {
+      // Reclaim only means the engine transmitted; pace on the receiver's
+      // progress too. With fewer than kCrossPosted messages outstanding
+      // (each reposted before it is counted), every arrival finds a
+      // posted buffer, so the zero-drop assertion below is a guarantee of
+      // the optimistic protocol rather than scheduling luck.
+      while (i - cross_received.load(std::memory_order_acquire) >= kCrossPosted) {
+        std::this_thread::yield();
+      }
       while (!tx_cross->Send(*msg, rx_cross->address()).ok()) {
         std::this_thread::yield();
       }
@@ -520,7 +542,8 @@ TEST_F(DoorbellScenarioTest, SlotReuseDropsPreviousTenantsThrottleState) {
   shm::CommBuffer::EndpointParams limited;
   limited.type = shm::EndpointType::kSend;
   limited.queue_capacity = 8;
-  limited.min_send_interval_ns = 1'000'000'000;  // 1 s: poisons the slot after one send
+  limited.bucket_capacity = 1;  // one send per 1 s: poisons the slot after one send
+  limited.bucket_refill_ns = 1'000'000'000;
   auto first = comm_->AllocateEndpoint(limited);
   ASSERT_TRUE(first.ok());
 

@@ -259,9 +259,9 @@ TEST(EndpointGroup, RemoveMemberStopsScanning) {
   EXPECT_EQ((*group)->member_count(), 0u);
 }
 
-// ------------------------------ Call counters --------------------------------
+// ---------------------------- Call profile (E11) -----------------------------
 
-TEST(CallCounters, TracksMessagingVsBufferManagement) {
+TEST(CallProfile, TracksMessagingVsBufferManagement) {
   auto cluster = TwoNodes();
   Domain& a = cluster->domain(0);
   Domain& b = cluster->domain(1);
@@ -280,10 +280,10 @@ TEST(CallCounters, TracksMessagingVsBufferManagement) {
   ASSERT_TRUE(rx->Receive().ok());   // receive (b)
   ASSERT_TRUE(tx->Reclaim().ok());   // reclaim (a)
 
-  EXPECT_EQ(a.calls().MessagingCalls(), 1u);         // send
-  EXPECT_EQ(a.calls().BufferManagementCalls(), 2u);  // alloc + reclaim
-  EXPECT_EQ(b.calls().MessagingCalls(), 1u);         // receive
-  EXPECT_EQ(b.calls().BufferManagementCalls(), 2u);  // alloc + post
+  EXPECT_EQ(a.comm().ApiCallProfile().messaging, 1u);          // send
+  EXPECT_EQ(a.comm().ApiCallProfile().buffer_management, 2u);  // alloc + reclaim
+  EXPECT_EQ(b.comm().ApiCallProfile().messaging, 1u);          // receive
+  EXPECT_EQ(b.comm().ApiCallProfile().buffer_management, 2u);  // alloc + post
 }
 
 }  // namespace
