@@ -37,7 +37,15 @@ void EngineRunner::Stop() {
 }
 
 void EngineRunner::Kick() {
-  kicks_.fetch_add(1, std::memory_order_release);
+  {
+    // Bump under the park mutex (the standard condvar rule). The parking
+    // loop evaluates its predicate and blocks atomically with respect to
+    // idle_mutex_; a bump made without it could land between that check
+    // and the block, and its notify would then wake nobody — the kick was
+    // lost until max_idle_park_ns ran out.
+    std::lock_guard<std::mutex> lock(idle_mutex_);
+    kicks_.fetch_add(1, std::memory_order_release);
+  }
   idle_cv_.notify_one();
 }
 
@@ -84,10 +92,18 @@ void EngineRunner::Loop() {
   // Number of consecutive empty polls before parking.
   constexpr int kSpinBudget = 64;
   int idle_polls = 0;
+  std::uint64_t kicks_before = 0;
 
   FLIPC_UNBOUNDED_WAIT("engine thread main loop: runs until Stop()");
   while (!stop_.load(std::memory_order_acquire)) {
-    const std::uint64_t kicks_before = kicks_.load(std::memory_order_acquire);
+    if (idle_polls == kSpinBudget - 1) {
+      // Snapshot the kick count before the last look ahead of a park: a
+      // kick that lands after this (empty) Step then cancels the park, and
+      // one that landed before it published work this Step sees. Reading
+      // it only here, not every iteration, keeps the spinning loop off the
+      // line every kick writes.
+      kicks_before = kicks_.load(std::memory_order_acquire);
+    }
     if (engine_.Step()) {
       idle_polls = 0;
       continue;

@@ -50,6 +50,12 @@ Status MessagingEngine::RegisterProtocol(std::uint32_t protocol_id, ProtocolHand
   if (protocol_id == simnet::kProtocolFlipc || protocol_id >= kMaxProtocols) {
     return InvalidArgumentStatus();
   }
+  if (!is_distributor()) {
+    // Inbound protocol packets are dispatched on the distributor only
+    // (RouteShardFor), and a handler sends on the wire's lane 0, which
+    // belongs to the distributor's thread.
+    return FailedPreconditionStatus();
+  }
   if (handlers_[protocol_id] != nullptr && handler != nullptr) {
     return FailedPreconditionStatus();
   }
@@ -58,6 +64,14 @@ Status MessagingEngine::RegisterProtocol(std::uint32_t protocol_id, ProtocolHand
 }
 
 bool MessagingEngine::EndpointBlocked(std::uint32_t) const { return false; }
+
+bool MessagingEngine::WireStalled(std::uint32_t endpoint) {
+  const BufferIndex buffer = comm_.queue(endpoint).PeekProcess();
+  if (buffer == waitfree::kInvalidBuffer || !comm_.IsValidBufferIndex(buffer)) {
+    return false;  // No destination: the commit path rejects it.
+  }
+  return wire_.FreeSlots(shard_id_, comm_.msg(buffer).header->peer_address().node()) == 0;
+}
 
 bool MessagingEngine::SendReady(std::uint32_t endpoint, TimeNs now) const {
   const EndpointRecord& record = comm_.endpoint(endpoint);
@@ -225,7 +239,7 @@ void MessagingEngine::SweepAllEndpoints() {
 
 bool MessagingEngine::SelectBatchFromActive() {
   const TimeNs now = NowForThrottle();
-  const std::uint32_t batch_limit = options_.transmit_batch < 1 ? 1 : options_.transmit_batch;
+  std::uint32_t batch_limit = options_.transmit_batch < 1 ? 1 : options_.transmit_batch;
 
   // ---- Pass 1: one rotation over the active list classifies every entry.
   // Drained entries are forgotten, blocked and throttled ones rotate to
@@ -259,6 +273,14 @@ bool MessagingEngine::SelectBatchFromActive() {
       // Ready work deferred by capacity control; NextUnthrottleTime keeps
       // tracking it through the rotation.
       comm_.telemetry(endpoint).RecordThrottleDeferral();
+      active_.push_back(endpoint);
+      continue;
+    }
+    if (WireStalled(endpoint)) {
+      // Its destination's wire ring is full. Not ready: it must neither
+      // win class selection nor earn credit, or a class whose traffic
+      // waits on a stalled receiver would block the classes that can
+      // send. The receiver's un-stall kick wakes this planner.
       active_.push_back(endpoint);
       continue;
     }
@@ -308,7 +330,9 @@ bool MessagingEngine::SelectBatchFromActive() {
   // deadline first (EDF); non-RT candidates keep rotation order.
   // Same-destination coalescing filters candidates: a head buffer the
   // commit path will reject (sentinel or out-of-range index) has no
-  // determinate destination and joins any batch as a rejection.
+  // determinate destination and joins any batch as a rejection. The
+  // destination's free wire slots (at least one, pass 1 saw to that) cap
+  // the batch.
   const std::size_t ready_count = scratch_ready_.size();
   std::uint16_t batch_node = 0;
   bool have_node = false;
@@ -352,6 +376,10 @@ bool MessagingEngine::SelectBatchFromActive() {
       if (buffer != waitfree::kInvalidBuffer && comm_.IsValidBufferIndex(buffer)) {
         batch_node = comm_.msg(buffer).header->peer_address().node();
         have_node = true;
+        const std::uint32_t free_slots = wire_.FreeSlots(shard_id_, batch_node);
+        if (free_slots < batch_limit) {
+          batch_limit = free_slots;
+        }
       }
     }
     planned_batch_.push_back(endpoint);
@@ -467,12 +495,14 @@ DurationNs MessagingEngine::PlanStep() {
 
   // Inbound first: the receiving node must always be ready to accept from
   // the interconnect (the optimistic protocol's no-deadlock guarantee).
-  simnet::Packet packet;
 
   // Cross-shard inbound handed off by the distributor. Like wire_.Poll
   // below, the pop consumes at plan time and the packet rides
   // planned_packet_ into the commit.
   if (handoff_inbox_ != nullptr) {
+    // Pop into an empty packet: moving over planned_packet_ inside the
+    // pop's hot scope would free its old payload there.
+    simnet::Packet packet;
     bool popped;
     {
       // The pop publishes handoff_head, this consumer shard's cursor.
@@ -489,8 +519,8 @@ DurationNs MessagingEngine::PlanStep() {
         shard_kick_(0);
       }
       planned_ = WorkKind::kInbound;
-      planned_cost_ = price_inbound(packet);
       planned_packet_ = std::move(packet);
+      planned_cost_ = price_inbound(planned_packet_);
       return planned_cost_;
     }
   }
@@ -507,18 +537,23 @@ DurationNs MessagingEngine::PlanStep() {
       planned_cost_ = charge(m != nullptr ? m->engine_dispatch_ns : 0);
       return planned_cost_;
     }
-    if (wire_.Poll(&packet)) {
-      const std::uint32_t dst_shard = RouteShardFor(packet);
+    bool polled;
+    {
+      // On the thread fabric the poll publishes the head cursors of the
+      // node's inbound wire rings, which this distributor owns.
+      waitfree::ScopedBoundaryRole boundary_role(waitfree::Writer::kEngine, shard_id_);
+      polled = wire_.Poll(&planned_packet_);
+    }
+    if (polled) {
+      const std::uint32_t dst_shard = RouteShardFor(planned_packet_);
       if (dst_shard != shard_id_) {
         planned_ = WorkKind::kRoute;
         planned_route_shard_ = dst_shard;
-        planned_packet_ = std::move(packet);
         planned_cost_ = charge(m != nullptr ? m->engine_dispatch_ns : 0);
         return planned_cost_;
       }
       planned_ = WorkKind::kInbound;
-      planned_cost_ = price_inbound(packet);
-      planned_packet_ = std::move(packet);
+      planned_cost_ = price_inbound(planned_packet_);
       return planned_cost_;
     }
   }
@@ -578,13 +613,12 @@ bool MessagingEngine::CommitStep() {
     case WorkKind::kNone:
       return false;
     case WorkKind::kInbound: {
-      simnet::Packet packet = std::move(*planned_packet_);
-      planned_packet_.reset();
       ++stats_.work_units;
-      if (packet.protocol == simnet::kProtocolFlipc) {
-        DeliverLocal(packet, cost);
-      } else if (packet.protocol < kMaxProtocols && handlers_[packet.protocol] != nullptr) {
-        handlers_[packet.protocol]->HandlePacket(std::move(packet), cost);
+      const std::uint32_t protocol = planned_packet_.protocol;
+      if (protocol == simnet::kProtocolFlipc) {
+        DeliverLocal(planned_packet_, cost);
+      } else if (protocol < kMaxProtocols && handlers_[protocol] != nullptr) {
+        handlers_[protocol]->HandlePacket(std::move(planned_packet_), cost);
       } else {
         ++stats_.unknown_protocol_packets;
       }
@@ -604,8 +638,6 @@ bool MessagingEngine::CommitStep() {
       return true;
     }
     case WorkKind::kRoute: {
-      simnet::Packet packet = std::move(*planned_packet_);
-      planned_packet_.reset();
       HandoffRing* ring = handoff_outboxes_[planned_route_shard_];
       if (ring == nullptr) {
         // Miswired assembly: that shard has no inbox. Count the discard
@@ -615,14 +647,14 @@ bool MessagingEngine::CommitStep() {
         ++stats_.drops_bad_address;
         return true;
       }
-      if (!ring->Push(packet)) {
+      if (!ring->Push(planned_packet_)) {
         // Inbox full. The packet is the only copy of its message, so park
         // it; the next plan retries before any further wire polling. This
         // is NOT progress — returning false lets the host runner back off
         // instead of spinning on the full ring (the consumer's drain path
         // kicks the distributor when it frees a slot of a full inbox).
         ++stats_.handoff_full_retries;
-        parked_packet_ = std::move(packet);
+        parked_packet_ = std::move(planned_packet_);
         parked_shard_ = planned_route_shard_;
         return false;
       }
@@ -661,9 +693,9 @@ void MessagingEngine::RecoverFromBuffer() {
   // parked_packet_ held the ONLY copy of an inbound wire packet on the
   // dead engine — that copy died with its heap, a legitimate loss the
   // optimistic contract already covers (same as a packet lost mid-wire).
+  // planned_ = kNone invalidates planned_packet_.
   planned_ = WorkKind::kNone;
   planned_cost_ = 0;
-  planned_packet_.reset();
   planned_batch_.clear();
   parked_packet_.reset();
   while (!active_.empty()) {
@@ -843,6 +875,16 @@ void MessagingEngine::CommitOutboundOne(std::uint32_t endpoint_index,
     return;
   }
 
+  // Back-pressure: with the destination's wire ring full the message stays
+  // at the head of its queue — no cursor advance, no counter, no bucket
+  // token. The plan capped the batch at the free slots and this planner is
+  // its lane's only producer, so this holds by construction; the check
+  // keeps a refusal from reaching TransmitMessage, which would count the
+  // message as a bad-address drop.
+  if (wire_.FreeSlots(shard_id_, dst.node()) == 0) {
+    return;
+  }
+
   // Capacity control (token bucket): pay one token for this transmission
   // (no rejection path remains below this point).
   if (clock_ != nullptr && record.bucket_capacity.ReadRelaxed() != 0) {
@@ -888,21 +930,23 @@ void MessagingEngine::TransmitMessage(std::uint32_t endpoint_index, BufferIndex 
   shm::MsgView view = comm_.msg(buffer);
 
   {
-    // The packet here stands in for the interconnect DMA: on the Paragon
-    // the payload moves over the mesh, not through the heap. The simulated
-    // wire copies it into an owning Packet (payload vector) and hands it to
-    // the fabric's event queue — simulation machinery, exempt from the
-    // hot-path guards by design.
+    // The transmit stands in for the interconnect DMA: on the Paragon the
+    // payload moves over the mesh, not through the heap. The thread
+    // fabric copies it from the comm buffer straight into this planner's
+    // ring slot (no allocation, no lock); the simulated wire copies it into
+    // an owning Packet on the fabric's event queue — simulation machinery.
+    // Either fabric then fires its delivery callback, which kicks the
+    // receiving engine's host thread. Exempt from the hot-path guards for
+    // the simulated wire and the kick.
     FLIPC_HOT_PATH_EXEMPT("simulated-wire DMA and fabric enqueue");
-    simnet::Packet packet;
-    packet.dst_node = dst.node();
-    packet.protocol = simnet::kProtocolFlipc;
-    packet.src_addr = src.packed();
-    packet.dst_addr = dst.packed();
-    packet.seq = send_seq_++;
-    packet.payload.assign(view.payload, view.payload + view.payload_size);
+    simnet::PacketHeader header;
+    header.dst_node = dst.node();
+    header.protocol = simnet::kProtocolFlipc;
+    header.src_addr = src.packed();
+    header.dst_addr = dst.packed();
+    header.seq = send_seq_++;
 
-    const Status status = wire_.Send(std::move(packet));
+    const Status status = wire_.Transmit(shard_id_, header, view.payload, view.payload_size);
     if (!status.ok()) {
       // Unknown destination node: the optimistic protocol has no error path
       // back to the sender; the message is charged as a bad-address discard.

@@ -225,6 +225,9 @@ class MessagingEngine {
   MessagingEngine& operator=(const MessagingEngine&) = delete;
 
   // ---- Protocol framework ----
+  // Installs (or, with nullptr, removes) the handler for a non-FLIPC
+  // protocol id. Only a node's distributor (shard 0) takes handlers:
+  // kFailedPrecondition on any other shard.
   Status RegisterProtocol(std::uint32_t protocol_id, ProtocolHandler* handler);
 
   // ---- Event loop ----
@@ -334,7 +337,9 @@ class MessagingEngine {
 
   // Resources shared with registered protocol handlers: the coprocessor's
   // wire and (in simulation) the cost model. Handlers transmit their own
-  // packets through the same interface FLIPC traffic uses.
+  // packets through the same interface FLIPC traffic uses. On a wire that
+  // refuses (a full ring, a payload over MaxPayload) the handler keeps the
+  // packet; the un-stall kick wakes the engine when a slot frees.
   simnet::Wire& wire_for_protocols() { return wire_; }
   const PlatformModel* model_for_protocols() const { return model_; }
 
@@ -397,9 +402,14 @@ class MessagingEngine {
   void SweepAllEndpoints();
 
   // One rotation over the active list selecting the batch; returns whether
-  // anything was selected. Drained endpoints leave the list; blocked or
-  // throttled ones rotate to the back.
+  // anything was selected. Drained endpoints leave the list; blocked,
+  // throttled and wire-stalled ones rotate to the back.
   bool SelectBatchFromActive();
+
+  // True when the endpoint's head message is bound for a node whose wire
+  // ring on this planner's lane is full (never on a wire that does not
+  // refuse).
+  bool WireStalled(std::uint32_t endpoint);
 
   // True when `endpoint` is a send endpoint with processable work that is
   // not blocked (KKT in-flight) or throttled (rate limit).
@@ -526,7 +536,10 @@ class MessagingEngine {
 
   // Planned work unit.
   WorkKind planned_ = WorkKind::kNone;
-  std::optional<simnet::Packet> planned_packet_;
+  // Valid while planned_ is kInbound or kRoute. Inbound packets are polled
+  // straight into it, so its payload capacity carries over from packet to
+  // packet and the receive path allocates nothing in steady state.
+  simnet::Packet planned_packet_;
   std::uint32_t planned_handler_ = 0;
   DurationNs planned_cost_ = 0;
 

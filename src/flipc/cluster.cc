@@ -14,7 +14,13 @@ namespace flipc {
 Result<std::unique_ptr<Cluster>> Cluster::Create(const Options& options) {
   auto cluster = std::unique_ptr<Cluster>(new Cluster());
   cluster->options_ = options;  // RestartShard rebuilds engines from these.
-  cluster->fabric_ = std::make_unique<simnet::ThreadFabric>(options.node_count);
+  // One wire lane per planner shard, each lane's rings sized like the
+  // handoff ring (the doorbell ring's capacity) with slots of one message.
+  simnet::ThreadFabric::Options fabric_options;
+  fabric_options.lanes = options.comm.shard_count;
+  fabric_options.ring_capacity = options.comm.effective_doorbell_capacity();
+  fabric_options.max_payload = options.comm.message_size;
+  cluster->fabric_ = std::make_unique<simnet::ThreadFabric>(options.node_count, fabric_options);
 
   const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
   unsigned next_cpu = 0;
@@ -88,6 +94,11 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const Options& options) {
     // through the null-safe kick, so a killed distributor tolerates
     // deliveries arriving while it is down.
     cluster->fabric_->SetDeliveryCallback(n, [node_ptr] { node_ptr->kick_shard(0); });
+    // A receiver that frees a slot of a full wire ring wakes the planner
+    // that filled it (null-safe too: the planner may be dead).
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      cluster->fabric_->SetUnstallCallback(n, s, [node_ptr, s] { node_ptr->kick_shard(s); });
+    }
 
     cluster->nodes_.push_back(std::move(node));
   }

@@ -36,7 +36,8 @@ Status RmaNode::UnexportWindow(std::uint32_t window_id) {
 
 Result<std::uint64_t> RmaNode::Write(NodeId node, std::uint32_t window, std::uint64_t offset,
                                      const void* data, std::size_t size) {
-  if (data == nullptr || size == 0) {
+  if (data == nullptr || size == 0 ||
+      size > engine_.wire_for_protocols().MaxPayload() - kRmaHeaderSize) {
     return InvalidArgumentStatus();
   }
   ScopedLock<std::mutex> lock(mutex_);
@@ -62,7 +63,7 @@ Result<std::uint64_t> RmaNode::Write(NodeId node, std::uint32_t window, std::uin
 
 Result<std::uint64_t> RmaNode::Read(NodeId node, std::uint32_t window, std::uint64_t offset,
                                     void* dst, std::size_t size) {
-  if (dst == nullptr || size == 0) {
+  if (dst == nullptr || size == 0 || size > engine_.wire_for_protocols().MaxPayload()) {
     return InvalidArgumentStatus();
   }
   ScopedLock<std::mutex> lock(mutex_);
@@ -109,7 +110,10 @@ Status RmaNode::Poll(std::uint64_t token) const {
 
 bool RmaNode::HasWork() const {
   ScopedLock<std::mutex> guard(mutex_);
-  return !outgoing_.empty();
+  // A head packet whose wire ring is full is no work yet: reporting it
+  // would spin the engine. The receiver's un-stall kick wakes it.
+  return !outgoing_.empty() &&
+         engine_.wire_for_protocols().FreeSlots(0, outgoing_.front().dst_node) != 0;
 }
 
 bool RmaNode::PollWork(simnet::CostAccumulator& cost) {
@@ -121,11 +125,22 @@ bool RmaNode::PollWork(simnet::CostAccumulator& cost) {
   outgoing_.pop_front();
   lock.Release();
   const std::uint64_t token = packet.seq;
+  const std::size_t payload_size = packet.payload.size();
+  // Transmit, not Send: a refused packet must survive the call.
+  const Status status = engine_.wire_for_protocols().Transmit(
+      /*lane=*/0, packet, packet.payload.data(), payload_size);
+  if (status.code() == StatusCode::kUnavailable) {
+    // Full wire ring: keep the packet at the head so requests and replies
+    // leave in order.
+    ScopedLock<std::mutex> guard(mutex_);
+    outgoing_.push_front(std::move(packet));
+    return false;
+  }
   if (const auto* model = engine_.model_for_protocols(); model != nullptr) {
     cost.Charge(model->send_overhead_ns +
-                static_cast<DurationNs>(packet.payload.size()) / 4);  // DMA setup + stream
+                static_cast<DurationNs>(payload_size) / 4);  // DMA setup + stream
   }
-  if (!engine_.wire_for_protocols().Send(std::move(packet)).ok()) {
+  if (!status.ok()) {
     ScopedLock<std::mutex> guard(mutex_);
     auto it = operations_.find(token);
     if (it != operations_.end()) {
@@ -180,6 +195,11 @@ void RmaNode::HandlePacket(simnet::Packet packet, simnet::CostAccumulator& cost)
           ++stats_.writes_served;
           reply.kind = kRmaWriteAck;
         }
+      } else if (header.length > engine_.wire_for_protocols().MaxPayload()) {
+        // The reply would not fit the wire; a client on this fabric
+        // cannot ask for it (Read checks), so the request is malformed.
+        ++stats_.requests_rejected;
+        reply.kind = kRmaReject;
       } else {
         ++stats_.reads_served;
         reply.kind = kRmaReadReply;
@@ -189,7 +209,13 @@ void RmaNode::HandlePacket(simnet::Packet packet, simnet::CostAccumulator& cost)
           cost.Charge(model->RecvCopyNs(header.length));
         }
       }
-      if (!engine_.wire_for_protocols().Send(std::move(reply)).ok()) {
+      const Status status = engine_.wire_for_protocols().Transmit(
+          /*lane=*/0, reply, reply.payload.data(), reply.payload.size());
+      if (status.code() == StatusCode::kUnavailable) {
+        // Full wire ring: the reply joins the outgoing queue, which
+        // PollWork retries, instead of being lost with its operation.
+        outgoing_.push_back(std::move(reply));
+      } else if (!status.ok()) {
         FLIPC_LOG(kWarning) << "rma: failed to reply to node " << packet.src_node;
       }
       return;

@@ -60,7 +60,8 @@ struct RmaStats {
 
 class RmaNode final : public engine::ProtocolHandler {
  public:
-  // Registers itself with the engine's protocol framework.
+  // Registers itself with the engine's protocol framework; `engine` must
+  // be a node's distributor (shard 0).
   explicit RmaNode(engine::MessagingEngine& engine);
   ~RmaNode() override;
   RmaNode(const RmaNode&) = delete;
@@ -75,12 +76,18 @@ class RmaNode final : public engine::ProtocolHandler {
 
   // ---- Client side (one-sided operations) ----
 
-  // Copies `size` bytes into the remote window. Returns a completion token.
+  // An operation travels in one wire packet, so its size is bounded by
+  // the engine wire's MaxPayload (the comm buffer's message_size on a
+  // Cluster): a larger one fails with kInvalidArgument and is never sent.
+  // A full wire ring only delays an operation; it stays queued here.
+
+  // Copies `size` bytes (at most MaxPayload - kRmaHeaderSize) into the
+  // remote window. Returns a completion token.
   Result<std::uint64_t> Write(NodeId node, std::uint32_t window, std::uint64_t offset,
                               const void* data, std::size_t size);
 
-  // Fetches `size` bytes from the remote window into `dst` (which must
-  // stay valid until completion).
+  // Fetches `size` bytes (at most MaxPayload) from the remote window into
+  // `dst` (which must stay valid until completion).
   Result<std::uint64_t> Read(NodeId node, std::uint32_t window, std::uint64_t offset,
                              void* dst, std::size_t size);
 

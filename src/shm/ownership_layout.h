@@ -192,11 +192,12 @@ inline constexpr FieldOwnership kPaddedDropCounterOwnership[] = {
 };
 
 // ---- HandoffCursors (src/waitfree/handoff_ring.h) ----
-// The engine-to-engine SPSC handoff ring's cursor block. Both cursors are
-// engine-side — the single-writer split here is BETWEEN SHARDS, not across
-// the app/engine boundary: the producer shard writes handoff_tail (and the
-// slot tags), the consumer shard writes handoff_head, each on its own cache
-// line. The per-shard confinement is enforced at run time by the checker's
+// The engine-side SPSC lap ring's cursor block (the handoff ring between
+// shards, and each thread-fabric wire ring between a sending planner and a
+// receiving distributor). Both cursors are engine-side — the single-writer
+// split here is BETWEEN ENGINE THREADS, not across the app/engine boundary:
+// the producer writes handoff_tail (and the slot tags), the consumer
+// writes handoff_head, each on its own cache line. The per-shard confinement is enforced at run time by the checker's
 // shard-qualified declarations (HandoffCursors::DeclareOwners); the lint
 // below still proves the two lines never mix writers' words.
 inline constexpr FieldOwnership kHandoffCursorsOwnership[] = {
@@ -405,8 +406,8 @@ struct ArenaOwnership {
 inline constexpr ArenaOwnership kArenaCellOwnership[] = {
     {"BufferQueue.cells", ownership_internal::kApp},
     {"DoorbellRing.cells", ownership_internal::kApp},
-    // Handoff-ring slot tags: engine-side, written only by the PRODUCER
-    // shard (lap-tag publication, kCursor: the consumer's acquire Read pairs
+    // Lap-ring slot tags (handoff and wire rings): engine-side, written
+    // only by the PRODUCER shard (lap-tag publication, kCursor: the consumer's acquire Read pairs
     // with the producer's Publish). Shard-confined at run time.
     {"HandoffRing.slot_tags", ownership_internal::kEng},
 };
@@ -451,8 +452,8 @@ inline constexpr AuditAlias kAuditAliases[] = {
     // padded in-region variant's fields match the table names directly.
     {"DropCounter", "dropped_", "PaddedDropCounterParts.dropped"},
     {"DropCounter", "reclaimed_", "PaddedDropCounterParts.reclaimed"},
-    // The handoff ring's slot-tag vector.
-    {"SpscHandoffRing", "tags_", "HandoffRing.slot_tags"},
+    // The lap ring's slot-tag array (shared by the handoff and byte rings).
+    {"SpscLapRing", "tags_", "HandoffRing.slot_tags"},
 };
 
 // ---- Lint predicates -------------------------------------------------------

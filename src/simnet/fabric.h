@@ -1,25 +1,30 @@
 // Fabrics: the interconnect a messaging engine sends packets through.
 //
 // A Fabric owns one Wire per node. Wires are reliable and preserve order
-// between each (source, destination) node pair — the property FLIPC's
-// optimistic transport depends on ("a reliable transport that preserves
-// order for messages sent from the same source endpoint to the same
-// destination endpoint"). Two implementations:
+// per sending lane — the property FLIPC's optimistic transport depends on
+// ("a reliable transport that preserves order for messages sent from the
+// same source endpoint to the same destination endpoint"). Two
+// implementations:
 //
 //   * SimFabric    — discrete-event simulated; delivery times come from a
 //     LinkModel, sends serialize at the source interface, and an optional
 //     fault injector can drop packets (used only by tests probing how the
-//     layers above would misbehave on an unreliable interconnect).
-//   * ThreadFabric — real-concurrency; lock-guarded in-order delivery
-//     queues for the examples and stress tests.
+//     layers above would misbehave on an unreliable interconnect). Order
+//     holds per (source, destination) node pair; lanes are ignored and the
+//     wire never refuses.
+//   * ThreadFabric — real concurrency; one wait-free SPSC ring of
+//     fixed-size byte slots per (sending lane, destination node), where a
+//     lane is one sending planner. Order holds per (lane, destination),
+//     which covers every (source endpoint, destination endpoint) pair
+//     because an endpoint belongs to one planner. A full ring refuses, so
+//     a stalled receiver back-pressures into the sender's send queue.
 #ifndef SRC_SIMNET_FABRIC_H_
 #define SRC_SIMNET_FABRIC_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,15 +35,46 @@
 #include "src/simnet/des.h"
 #include "src/simnet/link_model.h"
 #include "src/simnet/packet.h"
+#include "src/waitfree/handoff_ring.h"
 
 namespace flipc::simnet {
 
 class Wire {
  public:
+  // FreeSlots of a wire that never refuses.
+  static constexpr std::uint32_t kUnboundedSlots = 0xffffffffu;
+  // MaxPayload of a wire without a slot-size limit.
+  static constexpr std::size_t kUnboundedPayload = ~std::size_t{0};
+
   virtual ~Wire() = default;
 
   // Queues a packet for transmission. src_node is filled in by the wire.
+  // On a laned wire this sends on lane 0, the node distributor's lane, so
+  // only the distributor's thread may call it there; it fails like
+  // Transmit.
   virtual Status Send(Packet packet) = 0;
+
+  // Largest payload Send and Transmit accept.
+  virtual std::size_t MaxPayload() const { return kUnboundedPayload; }
+
+  // Transmits one packet made of `header` and `size` payload bytes on
+  // `lane`, the sending planner's own producer lane (its shard id). The
+  // wire copies the payload before returning. Errors: kNotFound for an
+  // unknown destination node, kInvalidArgument for a payload larger than
+  // the wire's slot or an unknown lane, kUnavailable when the lane's ring
+  // to that destination is full (nothing was sent). The default builds an
+  // owning Packet and calls Send.
+  virtual Status Transmit(std::uint32_t lane, const PacketHeader& header,
+                          const std::byte* payload, std::size_t size);
+
+  // Packets `lane` can certainly transmit to `dst` before Transmit
+  // refuses. Meaningful to the lane's producer: a lower bound (only the
+  // receiver frees slots) that is 0 only when the ring really is full.
+  // kUnboundedSlots for a wire that never refuses (and for an unknown lane
+  // or node, which Transmit rejects on its own).
+  virtual std::uint32_t FreeSlots(std::uint32_t /*lane*/, NodeId /*dst*/) {
+    return kUnboundedSlots;
+  }
 
   // Retrieves the next delivered packet, if any.
   virtual bool Poll(Packet* out) = 0;
@@ -215,16 +251,52 @@ class SimFabric final : public Fabric {
 
 class ThreadFabric final : public Fabric {
  public:
-  explicit ThreadFabric(std::uint32_t node_count);
+  // No defaults: Cluster derives all three from its CommBufferConfig.
+  struct Options {
+    // Sending lanes per node: one per planner shard that transmits.
+    std::uint32_t lanes;
+    // Slots per (lane, destination) ring; rounded up to a power of two.
+    std::uint32_t ring_capacity;
+    // Largest payload one slot carries.
+    std::uint32_t max_payload;
+  };
+
+  ThreadFabric(std::uint32_t node_count, Options options);
   ~ThreadFabric() override;
+
+  ThreadFabric(const ThreadFabric&) = delete;
+  ThreadFabric& operator=(const ThreadFabric&) = delete;
 
   std::uint32_t node_count() const override { return static_cast<std::uint32_t>(wires_.size()); }
   Wire& wire(NodeId node) override;
+
+  // Callbacks are read without a lock by the sending and receiving engine
+  // threads, so install them before traffic flows (Cluster does so at
+  // assembly, before any runner starts).
   void SetDeliveryCallback(NodeId node, std::function<void()> callback) override;
+  // Fired by a destination's receiving engine when it frees a slot of a
+  // full ring that `lane` of `node` sends on, so the planner that stalled
+  // on the full ring resumes (the wire's mirror of the handoff ring's
+  // un-stall path).
+  void SetUnstallCallback(NodeId node, std::uint32_t lane, std::function<void()> callback);
 
  private:
   class ThreadWire;
 
+  // The ring `lane` of `src` sends to `dst` on.
+  waitfree::SpscByteRing& ring(NodeId src, std::uint32_t lane, NodeId dst) {
+    return *rings_[(static_cast<std::size_t>(src) * options_.lanes + lane) * wires_.size() + dst];
+  }
+
+  Options options_;
+  // Every ring's tags and slots in one block, from the heap or an
+  // anonymous mapping by size (kHeapStorageLimit in fabric.cc): the tags
+  // are zeroed, the slots never initialised.
+  void* storage_ = nullptr;
+  std::size_t storage_bytes_ = 0;
+  std::vector<std::unique_ptr<waitfree::SpscByteRing>> rings_;
+  std::vector<std::function<void()>> delivery_;  // by destination node
+  std::vector<std::function<void()>> unstall_;   // by src * lanes + lane
   std::vector<std::unique_ptr<ThreadWire>> wires_;
 };
 

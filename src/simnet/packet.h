@@ -28,7 +28,10 @@ inline constexpr std::uint32_t kProtocolRma = 5;        // remote memory access 
 // serialization time but is not part of the payload.
 inline constexpr std::size_t kPacketWireHeaderBytes = 16;
 
-struct Packet {
+// The fixed-size part of a packet. Split out so a wire can carry it beside
+// a payload that never leaves the sender's buffer until the copy into the
+// wire (Wire::Transmit).
+struct PacketHeader {
   NodeId src_node = kInvalidNode;
   NodeId dst_node = kInvalidNode;
   std::uint32_t protocol = 0;
@@ -36,6 +39,9 @@ struct Packet {
   std::uint32_t dst_addr = 0xffffffffu;  // packed flipc::Address
   std::uint64_t seq = 0;                 // per-sender sequence / protocol token
   std::uint32_t kind = 0;                // protocol-specific discriminator
+};
+
+struct Packet : PacketHeader {
   std::vector<std::byte> payload;
 
   std::size_t wire_size() const { return payload.size() + kPacketWireHeaderBytes; }

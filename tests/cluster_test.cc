@@ -3,13 +3,16 @@
 // through the real-time semaphore. These exercise the same wait-free
 // structures under genuine parallel execution.
 #include <atomic>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/flipc/flipc.h"
+#include "src/rma/rma_node.h"
 
 namespace flipc {
 namespace {
@@ -334,6 +337,447 @@ TEST(Cluster, ShardedNodeDeliversAcrossHandoff) {
   EXPECT_EQ(total.backstop_sweeps, total.doorbell_overflows +
                                        total.sweeps_periodic +
                                        total.sweeps_no_candidate);
+}
+
+TEST(Cluster, TwoShardsFloodOneDestinationConcurrently) {
+  // Both planners of node 0 transmit to node 1 at once. Each planner is the
+  // only producer of its own wire lane, so the two floods never share an
+  // SPSC ring; if they did, TSan would report the race on the ring's
+  // producer state and per-source order could break. The rings are small
+  // (the doorbell capacity), so both lanes also fill and refuse, and each
+  // planner resumes on its receiver's un-stall kick.
+  Cluster::Options options;
+  options.node_count = 2;
+  options.comm.message_size = 64;
+  options.comm.buffer_count = 512;
+  options.comm.max_endpoints = 16;
+  options.comm.shard_count = 2;
+  options.comm.doorbell_capacity = 64;
+  options.pin_shard_threads = false;
+  auto cluster_or = Cluster::Create(options);
+  ASSERT_TRUE(cluster_or.ok());
+  auto cluster = std::move(cluster_or).value();
+  cluster->Start();
+  Domain& a = cluster->domain(0);
+  Domain& b = cluster->domain(1);
+
+  constexpr std::uint32_t kPosted = 128;
+  constexpr std::uint64_t kPerSender = 4000;
+  Endpoint tx[2];
+  Endpoint rx[2];
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    auto t = a.CreateEndpoint({.type = shm::EndpointType::kSend, .queue_depth = 16, .shard = s});
+    auto r = b.CreateEndpoint({.type = shm::EndpointType::kReceive, .queue_depth = kPosted});
+    ASSERT_TRUE(t.ok() && r.ok());
+    tx[s] = *t;
+    rx[s] = *r;
+    for (std::uint32_t i = 0; i < kPosted; ++i) {
+      auto buffer = b.AllocateBuffer();
+      ASSERT_TRUE(buffer.ok());
+      ASSERT_TRUE(rx[s].PostBuffer(*buffer).ok());
+    }
+  }
+
+  std::atomic<std::uint64_t> received[2] = {0, 0};
+  std::atomic<bool> stop{false};  // set if the receiver gives up
+  const auto sender = [&](std::uint32_t s) {
+    std::vector<MessageBuffer> free_buffers;
+    for (int i = 0; i < 16; ++i) {
+      auto buffer = a.AllocateBuffer();
+      ASSERT_TRUE(buffer.ok());
+      free_buffers.push_back(*buffer);
+    }
+    for (std::uint64_t seq = 0; seq < kPerSender && !stop.load();) {
+      for (auto done = tx[s].Reclaim(); done.ok(); done = tx[s].Reclaim()) {
+        free_buffers.push_back(*done);
+      }
+      // Pace on consumption so every arrival finds a posted buffer.
+      if (free_buffers.empty() ||
+          seq - received[s].load(std::memory_order_acquire) >= kPosted) {
+        std::this_thread::yield();
+        continue;
+      }
+      *free_buffers.back().As<std::uint64_t>() = seq;
+      const Status status = tx[s].Send(free_buffers.back(), rx[s].address());
+      if (status.ok()) {
+        free_buffers.pop_back();
+        ++seq;
+      } else {
+        ASSERT_EQ(status.code(), StatusCode::kUnavailable);
+        std::this_thread::yield();
+      }
+    }
+  };
+  std::thread senders[2] = {std::thread(sender, 0), std::thread(sender, 1)};
+
+  // One receiver drains both endpoints, checking per-(src,dst) order.
+  std::uint64_t idle = 0;
+  while ((received[0].load() < kPerSender || received[1].load() < kPerSender) &&
+         idle < 2'000'000 && !::testing::Test::HasFatalFailure()) {
+    bool any = false;
+    for (std::uint32_t s = 0; s < 2; ++s) {
+      auto message = rx[s].Receive();
+      if (!message.ok()) {
+        continue;
+      }
+      ASSERT_EQ(*message->As<std::uint64_t>(), received[s].load());
+      ASSERT_TRUE(rx[s].PostBuffer(*message).ok());
+      received[s].fetch_add(1, std::memory_order_release);
+      any = true;
+    }
+    idle = any ? 0 : idle + 1;
+    if (!any) {
+      std::this_thread::yield();
+    }
+  }
+  stop.store(true);
+  for (auto& t : senders) {
+    t.join();
+  }
+  EXPECT_EQ(received[0].load(), kPerSender);
+  EXPECT_EQ(received[1].load(), kPerSender);
+  EXPECT_EQ(rx[0].DropCount(), 0u);
+  EXPECT_EQ(rx[1].DropCount(), 0u);
+
+  cluster->Stop();
+  // Both planners transmitted (one lane each).
+  EXPECT_EQ(cluster->engine(0, 0).stats().messages_sent, kPerSender);
+  EXPECT_EQ(cluster->engine(0, 1).stats().messages_sent, kPerSender);
+}
+
+TEST(Cluster, WireStallDoesNotBlockAnotherQosClass) {
+  // Node 0 sends class-0 traffic to node 1 and class-1 traffic to node 2.
+  // Node 1's distributor is killed, so the wire ring to node 1 fills and
+  // its sender's queue backs up. Classes have equal weights, and class 0
+  // would win every class selection if a stalled endpoint still counted
+  // as ready; class 1 must keep flowing to the healthy node instead.
+  constexpr std::uint32_t kRingCapacity = 64;
+  constexpr std::uint32_t kQueueDepth = 16;
+  constexpr std::uint32_t kPosted = 64;
+  constexpr std::uint64_t kHealthy = 1000;
+  Cluster::Options options;
+  options.node_count = 3;
+  options.comm.message_size = 64;
+  options.comm.buffer_count = 512;
+  options.comm.max_endpoints = 8;
+  options.comm.doorbell_capacity = kRingCapacity;
+  auto created = Cluster::Create(options);
+  ASSERT_TRUE(created.ok());
+  auto cluster = std::move(created).value();
+  cluster->Start();
+  Domain& a = cluster->domain(0);
+
+  auto stalled_tx = a.CreateEndpoint(
+      {.type = shm::EndpointType::kSend, .queue_depth = kQueueDepth, .qos_class = 0});
+  auto healthy_tx = a.CreateEndpoint(
+      {.type = shm::EndpointType::kSend, .queue_depth = kQueueDepth, .qos_class = 1});
+  auto stalled_rx = cluster->domain(1).CreateEndpoint(
+      {.type = shm::EndpointType::kReceive, .queue_depth = 2 * kRingCapacity});
+  auto healthy_rx =
+      cluster->domain(2).CreateEndpoint({.type = shm::EndpointType::kReceive, .queue_depth = kPosted});
+  ASSERT_TRUE(stalled_tx.ok() && healthy_tx.ok() && stalled_rx.ok() && healthy_rx.ok());
+  for (std::uint32_t i = 0; i < kRingCapacity + kQueueDepth; ++i) {
+    auto buffer = cluster->domain(1).AllocateBuffer();
+    ASSERT_TRUE(buffer.ok());
+    ASSERT_TRUE(stalled_rx->PostBuffer(*buffer).ok());
+  }
+  for (std::uint32_t i = 0; i < kPosted; ++i) {
+    auto buffer = cluster->domain(2).AllocateBuffer();
+    ASSERT_TRUE(buffer.ok());
+    ASSERT_TRUE(healthy_rx->PostBuffer(*buffer).ok());
+  }
+
+  ASSERT_TRUE(cluster->KillShard(1, 0));
+  // Fill the ring to node 1 and then the class-0 send queue behind it.
+  std::uint64_t stalled_sent = 0;
+  for (int refusals = 0; refusals < 20000;) {
+    for (auto done = stalled_tx->Reclaim(); done.ok(); done = stalled_tx->Reclaim()) {
+      ASSERT_TRUE(a.FreeBuffer(*done).ok());
+    }
+    auto buffer = a.AllocateBuffer();
+    ASSERT_TRUE(buffer.ok());
+    *buffer->As<std::uint64_t>() = stalled_sent;
+    const Status status = stalled_tx->Send(*buffer, stalled_rx->address());
+    if (status.ok()) {
+      ++stalled_sent;
+      refusals = 0;
+      continue;
+    }
+    ASSERT_EQ(status.code(), StatusCode::kUnavailable);
+    ASSERT_TRUE(a.FreeBuffer(*buffer).ok());
+    ++refusals;
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(stalled_sent, kRingCapacity + kQueueDepth);
+
+  // Class 1 flows while class 0 stays stalled.
+  std::vector<MessageBuffer> free_buffers;
+  for (std::uint32_t i = 0; i < kQueueDepth; ++i) {
+    auto buffer = a.AllocateBuffer();
+    ASSERT_TRUE(buffer.ok());
+    free_buffers.push_back(*buffer);
+  }
+  std::uint64_t sent = 0;
+  for (std::uint64_t received = 0; received < kHealthy && !HasFatalFailure();) {
+    for (auto done = healthy_tx->Reclaim(); done.ok(); done = healthy_tx->Reclaim()) {
+      free_buffers.push_back(*done);
+    }
+    if (sent < kHealthy && sent - received < kPosted && !free_buffers.empty()) {
+      *free_buffers.back().As<std::uint64_t>() = sent;
+      const Status status = healthy_tx->Send(free_buffers.back(), healthy_rx->address());
+      if (status.ok()) {
+        free_buffers.pop_back();
+        ++sent;
+      }
+    }
+    auto message = PollUntilOk([&] { return healthy_rx->Receive(); });
+    ASSERT_TRUE(message.ok()) << "healthy class stalled after " << received;
+    ASSERT_EQ(*message->As<std::uint64_t>(), received);
+    ASSERT_TRUE(healthy_rx->PostBuffer(*message).ok());
+    ++received;
+  }
+  EXPECT_EQ(stalled_tx->ProcessedCount(), kRingCapacity);
+
+  // The stalled class drains in order once its receiver is back.
+  ASSERT_TRUE(cluster->RestartShard(1, 0));
+  for (std::uint64_t received = 0; received < stalled_sent; ++received) {
+    auto message = PollUntilOk([&] { return stalled_rx->Receive(); });
+    ASSERT_TRUE(message.ok()) << "stalled class lost after " << received;
+    ASSERT_EQ(*message->As<std::uint64_t>(), received);
+  }
+  EXPECT_EQ(stalled_rx->DropCount(), 0u);
+  EXPECT_EQ(healthy_rx->DropCount(), 0u);
+  cluster->Stop();
+}
+
+// Stops the cluster's engine threads on scope exit. Declared after the
+// protocol handlers, it stops every engine loop before they are destroyed,
+// also when an assertion returns early.
+struct StopOnExit {
+  Cluster& cluster;
+  ~StopOnExit() { cluster.Stop(); }
+};
+
+// Registered protocols share the bounded wire. An RMA operation travels in
+// one packet, so one larger than a ring slot is refused up front rather
+// than lost on the wire, and handlers live on the distributor only.
+TEST(Cluster, RmaRejectsOperationsLargerThanAWireSlot) {
+  constexpr std::uint32_t kMessageSize = 256;
+  Cluster::Options options;
+  options.node_count = 2;
+  options.comm.message_size = kMessageSize;
+  options.comm.buffer_count = 64;
+  options.comm.max_endpoints = 8;
+  options.comm.shard_count = 2;
+  options.pin_shard_threads = false;
+  auto created = Cluster::Create(options);
+  ASSERT_TRUE(created.ok());
+  auto cluster = std::move(created).value();
+  rma::RmaNode client(cluster->engine(0));
+  rma::RmaNode owner(cluster->engine(1));
+  EXPECT_EQ(cluster->engine(0, 1).RegisterProtocol(simnet::kProtocolRma, &client).code(),
+            StatusCode::kFailedPrecondition);
+  StopOnExit stop_on_exit{*cluster};
+  cluster->Start();
+
+  std::vector<std::byte> region(4 * kMessageSize);
+  for (std::size_t i = 0; i < region.size(); ++i) {
+    region[i] = static_cast<std::byte>(i * 7);
+  }
+  auto window = owner.ExportWindow(region.data(), region.size());
+  ASSERT_TRUE(window.ok());
+
+  std::vector<std::byte> big(4 * kMessageSize);
+  EXPECT_EQ(client.Read(1, *window, 0, big.data(), big.size()).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(client.Read(1, *window, 0, big.data(), kMessageSize + 1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(client.Write(1, *window, 0, big.data(), kMessageSize).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // The largest operations that fit complete.
+  const std::size_t write_size = kMessageSize - rma::kRmaHeaderSize;
+  std::vector<std::byte> payload(write_size, std::byte{0x5a});
+  auto write = client.Write(1, *window, kMessageSize, payload.data(), payload.size());
+  ASSERT_TRUE(write.ok());
+  std::vector<std::byte> readback(kMessageSize);
+  auto read = client.Read(1, *window, kMessageSize, readback.data(), readback.size());
+  ASSERT_TRUE(read.ok());
+  const auto done = [&](std::uint64_t token) {
+    return PollUntilOk([&] { return client.Poll(token); });
+  };
+  EXPECT_TRUE(done(*write).ok());
+  EXPECT_TRUE(done(*read).ok());
+  cluster->Stop();
+  EXPECT_EQ(std::memcmp(readback.data(), payload.data(), write_size), 0);
+  EXPECT_EQ(readback[write_size], region[kMessageSize + write_size]);
+  EXPECT_EQ(client.stats().operations_failed, 0u);
+}
+
+// A read reply the owner cannot send because its wire ring back to the
+// client is full waits in the owner's queue; it is neither dropped (which
+// would leave the reader polling kUnavailable forever) nor spun on. The
+// engines are stepped by hand so the ring state at each point is exact.
+TEST(Cluster, RmaReplyRefusedByFullWireRingIsRetried) {
+  constexpr std::uint32_t kRing = 16;
+  constexpr std::uint32_t kReads = kRing + 8;
+  constexpr std::size_t kSize = 200;
+  Cluster::Options options;
+  options.node_count = 2;
+  options.comm.message_size = 256;
+  options.comm.buffer_count = 64;
+  options.comm.max_endpoints = 8;
+  options.comm.doorbell_capacity = kRing;
+  auto created = Cluster::Create(options);  // never started
+  ASSERT_TRUE(created.ok());
+  auto cluster = std::move(created).value();
+  engine::MessagingEngine& client_engine = cluster->engine(0);
+  engine::MessagingEngine& owner_engine = cluster->engine(1);
+  rma::RmaNode client(client_engine);
+  rma::RmaNode owner(owner_engine);
+  const auto run_until_idle = [](engine::MessagingEngine& engine) {
+    int steps = 0;
+    while (engine.Step() && steps < 100000) {
+      ++steps;
+    }
+  };
+
+  std::vector<std::byte> region(kReads * kSize);
+  for (std::size_t i = 0; i < region.size(); ++i) {
+    region[i] = static_cast<std::byte>(i * 13 + 1);
+  }
+  auto window = owner.ExportWindow(region.data(), region.size());
+  ASSERT_TRUE(window.ok());
+  std::vector<std::vector<std::byte>> dst(kReads, std::vector<std::byte>(kSize));
+  std::vector<std::uint64_t> tokens;
+  for (std::uint32_t i = 0; i < kReads; ++i) {
+    auto token = client.Read(1, *window, i * kSize, dst[i].data(), kSize);
+    ASSERT_TRUE(token.ok());
+    tokens.push_back(*token);
+  }
+
+  // The client fills its ring to the owner; the rest wait in its queue.
+  run_until_idle(client_engine);
+  EXPECT_EQ(owner_engine.wire_for_protocols().PendingCount(), kRing);
+  // This thread plays the owner's distributor and fills the owner's ring
+  // back to the client with packets of a protocol nobody registered.
+  std::uint32_t filler = 0;
+  for (;; ++filler) {
+    simnet::Packet packet;
+    packet.dst_node = 0;
+    packet.protocol = simnet::kProtocolKernelIpc;
+    const Status status = owner_engine.wire_for_protocols().Send(std::move(packet));
+    if (!status.ok()) {
+      ASSERT_EQ(status.code(), StatusCode::kUnavailable);
+      break;
+    }
+  }
+  EXPECT_EQ(filler, kRing);
+
+  // The owner serves every request it has, but no reply fits.
+  run_until_idle(owner_engine);
+  EXPECT_EQ(owner.stats().reads_served, kRing);
+  EXPECT_FALSE(owner_engine.HasWork());  // parked on the full ring, not spinning
+  for (std::uint64_t token : tokens) {
+    EXPECT_EQ(client.Poll(token).code(), StatusCode::kUnavailable);
+  }
+
+  // Once the client drains its inbound ring, everything completes.
+  for (int round = 0; round < 100; ++round) {
+    run_until_idle(client_engine);
+    run_until_idle(owner_engine);
+  }
+  for (std::uint32_t i = 0; i < kReads; ++i) {
+    ASSERT_TRUE(client.Poll(tokens[i]).ok()) << "read " << i;
+    EXPECT_EQ(std::memcmp(dst[i].data(), region.data() + i * kSize, kSize), 0) << "read " << i;
+  }
+  EXPECT_EQ(owner.stats().reads_served, kReads);
+  EXPECT_EQ(client.stats().operations_failed, 0u);
+  EXPECT_EQ(client_engine.stats().unknown_protocol_packets, filler);
+}
+
+// Both directions saturate their wire rings with RMA traffic from running
+// engines: every operation completes, none is rejected or lost.
+TEST(Cluster, RmaCompletesUnderWireBackPressure) {
+  constexpr std::uint32_t kOps = 300;
+  constexpr std::size_t kSize = 96;
+  Cluster::Options options;
+  options.node_count = 2;
+  options.comm.message_size = 128;
+  options.comm.buffer_count = 64;
+  options.comm.max_endpoints = 8;
+  options.comm.doorbell_capacity = 16;
+  auto created = Cluster::Create(options);
+  ASSERT_TRUE(created.ok());
+  auto cluster = std::move(created).value();
+  rma::RmaNode node0(cluster->engine(0));
+  rma::RmaNode node1(cluster->engine(1));
+  StopOnExit stop_on_exit{*cluster};
+  cluster->Start();
+
+  rma::RmaNode* nodes[2] = {&node0, &node1};
+  std::vector<std::byte> regions[2];
+  std::uint32_t windows[2];
+  for (int n = 0; n < 2; ++n) {
+    regions[n].assign(kOps * kSize, std::byte{0});
+    auto window = nodes[n]->ExportWindow(regions[n].data(), regions[n].size());
+    ASSERT_TRUE(window.ok());
+    windows[n] = *window;
+  }
+  // Each node writes every chunk of its peer's window, then reads it back.
+  std::vector<std::byte> sources[2];
+  std::vector<std::byte> readback[2];
+  std::vector<std::uint64_t> writes[2];
+  std::vector<std::uint64_t> reads[2];
+  for (int n = 0; n < 2; ++n) {
+    sources[n].resize(kOps * kSize);
+    for (std::size_t i = 0; i < sources[n].size(); ++i) {
+      sources[n][i] = static_cast<std::byte>(i * (n + 3) + n);
+    }
+    readback[n].resize(kOps * kSize);
+  }
+  for (std::uint32_t i = 0; i < kOps; ++i) {
+    for (int n = 0; n < 2; ++n) {
+      const NodeId peer = static_cast<NodeId>(1 - n);
+      auto token = nodes[n]->Write(peer, windows[peer], i * kSize,
+                                   sources[n].data() + i * kSize, kSize);
+      ASSERT_TRUE(token.ok());
+      writes[n].push_back(*token);
+    }
+  }
+  const auto wait = [&](rma::RmaNode& node, std::uint64_t token) {
+    Status status = node.Poll(token);
+    for (int i = 0; i < 2'000'000 && status.code() == StatusCode::kUnavailable; ++i) {
+      std::this_thread::yield();
+      status = node.Poll(token);
+    }
+    return status;
+  };
+  for (int n = 0; n < 2; ++n) {
+    for (std::uint64_t token : writes[n]) {
+      ASSERT_TRUE(wait(*nodes[n], token).ok());
+    }
+  }
+  for (std::uint32_t i = 0; i < kOps; ++i) {
+    for (int n = 0; n < 2; ++n) {
+      const NodeId peer = static_cast<NodeId>(1 - n);
+      auto token = nodes[n]->Read(peer, windows[peer], i * kSize,
+                                  readback[n].data() + i * kSize, kSize);
+      ASSERT_TRUE(token.ok());
+      reads[n].push_back(*token);
+    }
+  }
+  for (int n = 0; n < 2; ++n) {
+    for (std::uint64_t token : reads[n]) {
+      ASSERT_TRUE(wait(*nodes[n], token).ok());
+    }
+  }
+  cluster->Stop();
+  for (int n = 0; n < 2; ++n) {
+    EXPECT_EQ(readback[n], sources[n]) << "node " << n;
+    EXPECT_EQ(nodes[n]->stats().operations_failed, 0u);
+    EXPECT_EQ(nodes[n]->stats().operations_completed, 2 * kOps);
+  }
 }
 
 TEST(Cluster, LockedVariantsSafeWithConcurrentSenders) {

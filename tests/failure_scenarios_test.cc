@@ -257,6 +257,112 @@ TEST(FailureScenarios, KillRestartDistributorMidFlood) {
                       "KillRestartDistributorMidFlood");
 }
 
+// A killed distributor stops polling the wire. Its inbound packets wait in
+// the fabric-owned wire ring until that ring refuses; the sending planner
+// then leaves each further message at the head of its send queue, the queue
+// fills, and Send reports kUnavailable — FLIPC's own queue-full signal —
+// instead of anything growing without bound. Nothing is dropped: after
+// RestartShard the new distributor drains the ring, the un-stall kick
+// resumes the sender, and every message arrives in order.
+TEST(FailureScenarios, KilledDistributorBackPressuresIntoSendQueue) {
+  constexpr std::uint32_t kRingCapacity = 64;  // wire ring = doorbell capacity
+  constexpr std::uint32_t kQueueDepth = 32;
+  constexpr std::uint32_t kPosted = 256;
+  Cluster::Options options;
+  options.node_count = 2;
+  options.comm.message_size = 64;
+  options.comm.buffer_count = 512;
+  options.comm.max_endpoints = 8;
+  options.comm.doorbell_capacity = kRingCapacity;
+  auto created = Cluster::Create(options);
+  ASSERT_TRUE(created.ok());
+  auto cluster = std::move(created).value();
+  cluster->Start();
+  Domain& a = cluster->domain(0);
+  Domain& b = cluster->domain(1);
+
+  auto rx = b.CreateEndpoint({.type = shm::EndpointType::kReceive, .queue_depth = kPosted});
+  auto tx = a.CreateEndpoint({.type = shm::EndpointType::kSend, .queue_depth = kQueueDepth});
+  ASSERT_TRUE(rx.ok() && tx.ok());
+  for (std::uint32_t i = 0; i < kPosted; ++i) {
+    auto buffer = b.AllocateBuffer();
+    ASSERT_TRUE(buffer.ok());
+    ASSERT_TRUE(rx->PostBuffer(*buffer).ok());
+  }
+  std::vector<MessageBuffer> free_buffers;
+  for (std::uint32_t i = 0; i < kRingCapacity + 2 * kQueueDepth; ++i) {
+    auto buffer = a.AllocateBuffer();
+    ASSERT_TRUE(buffer.ok());
+    free_buffers.push_back(*buffer);
+  }
+
+  ASSERT_TRUE(cluster->KillShard(1, 0));
+
+  std::uint64_t sent = 0;
+  const auto try_send = [&]() -> Status {
+    for (auto done = tx->Reclaim(); done.ok(); done = tx->Reclaim()) {
+      free_buffers.push_back(*done);
+    }
+    if (free_buffers.empty()) {
+      return UnavailableStatus();
+    }
+    MessageBuffer buffer = free_buffers.back();
+    *buffer.As<std::uint64_t>() = sent;
+    const Status status = tx->Send(buffer, rx->address());
+    if (status.ok()) {
+      free_buffers.pop_back();
+      ++sent;
+    }
+    return status;
+  };
+
+  // Flood past ring capacity plus queue depth. Once the planner has filled
+  // the ring and the queue holds kQueueDepth untransmitted messages, every
+  // further Send must keep refusing.
+  for (int refusals = 0; refusals < 20000;) {
+    const Status status = try_send();
+    if (status.ok()) {
+      refusals = 0;
+      continue;
+    }
+    ASSERT_EQ(status.code(), StatusCode::kUnavailable);
+    ++refusals;
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(sent, kRingCapacity + kQueueDepth);
+  EXPECT_EQ(tx->ProcessedCount(), kRingCapacity);  // the rest wait at the queue head
+  EXPECT_EQ(rx->DropCount(), 0u);
+
+  ASSERT_TRUE(cluster->RestartShard(1, 0));
+
+  // Everything queued arrives, in order, then traffic flows again.
+  constexpr std::uint64_t kTotal = 3 * (kRingCapacity + kQueueDepth);
+  std::uint64_t received = 0;
+  while (received < kTotal && !::testing::Test::HasFatalFailure()) {
+    if (sent < kTotal && sent - received < kPosted) {
+      const Status status = try_send();
+      ASSERT_TRUE(status.ok() || status.code() == StatusCode::kUnavailable);
+    }
+    auto message = PollUntilOk([&] { return rx->Receive(); });
+    ASSERT_TRUE(message.ok()) << "stalled after " << received << " of " << sent;
+    ASSERT_EQ(*message->As<std::uint64_t>(), received);
+    ASSERT_TRUE(rx->PostBuffer(*message).ok());
+    ++received;
+  }
+  EXPECT_EQ(received, kTotal);
+  EXPECT_EQ(rx->DropCount(), 0u);
+
+  cluster->Stop();
+  EXPECT_EQ(cluster->aggregate_stats(1).recoveries, 1u);
+  std::vector<shm::EndpointIdentityFailure> failures;
+  EXPECT_EQ(shm::AuditTelemetryIdentities(a.comm(), &failures), 0);
+  EXPECT_EQ(shm::AuditTelemetryIdentities(b.comm(), &failures), 0);
+  for (const auto& failure : failures) {
+    ADD_FAILURE() << "endpoint " << failure.endpoint << ": " << failure.identity
+                  << " (" << failure.lhs << " != " << failure.rhs << ")";
+  }
+}
+
 // Satellite: churn regression — create/destroy/recreate the same endpoint
 // slot 1000x while cross-traffic flows on neighboring endpoints. Asserts
 // slot reuse, cursor + telemetry zeroing on each reincarnation, and that

@@ -31,17 +31,23 @@
 //     [engine] DoorbellRingView::AckOverflow:
 //       write DoorbellCursors.overflow_seen [Publish/release]; read DoorbellCursors.overflow_rung [Read/acquire]
 //
-//   handoff_ring:
-//     [engine shard 0 (producer)] SpscHandoffRing::Push:
-//       read HandoffCursors.handoff_head [Read/acquire]; write HandoffRing.slot_tags [Publish/release]; write HandoffCursors.handoff_tail [Publish/release]
-//     [engine shard 1 (consumer)] SpscHandoffRing::Pop:
+//   lap_ring (handoff ring and byte-slot wire ring):
+//     [engine producer] SpscLapRing::FreeSlots:
+//       read HandoffCursors.handoff_head [Read/acquire]
+//     [engine producer] SpscLapRing::ClaimSlot:
+//       (no shared-field accesses)
+//     [engine producer] SpscLapRing::PublishSlot:
+//       write HandoffRing.slot_tags [Publish/release]; write HandoffCursors.handoff_tail [Publish/release]
+//     [engine consumer] SpscLapRing::PeekSlot:
+//       read HandoffCursors.handoff_head [ReadRelaxed/relaxed]; read HandoffRing.slot_tags [Read/acquire]
+//     [engine consumer] SpscLapRing::ReleaseSlot:
 //       read HandoffCursors.handoff_head [ReadRelaxed/relaxed]; read HandoffRing.slot_tags [Read/acquire]; write HandoffCursors.handoff_head [Publish/release]
 #ifndef TESTS_GENERATED_MODEL_SCHEDULES_H_
 #define TESTS_GENERATED_MODEL_SCHEDULES_H_
 
 namespace flipc::generated_schedules {
 
-// Ring capacity shared by the queue, doorbell and handoff models.
+// Ring capacity shared by the queue, doorbell and lap-ring models.
 inline constexpr unsigned kModelCapacity = 4;
 
 // Buffer queue, steady-state: release/acquire mix ('R'/'A') vs engine
@@ -73,6 +79,12 @@ inline constexpr int kDoorbellOverflowSchedules = 330;
 inline constexpr unsigned kHandoffWrapPushOps = 8;
 inline constexpr unsigned kHandoffWrapPopOps = 5;
 inline constexpr int kHandoffWrapSchedules = 1287;
+
+// Byte-slot ring, refusal and retry: push attempts (a refused attempt
+// retries the same frame) vs pops one past capacity.
+inline constexpr unsigned kByteRingPushAttempts = 9;
+inline constexpr unsigned kByteRingPopOps = 5;
+inline constexpr int kByteRingSchedules = 2002;
 
 }  // namespace flipc::generated_schedules
 

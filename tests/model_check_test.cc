@@ -9,14 +9,17 @@
 // the queue and drop-counter invariants against a reference model in every
 // one of them. A violation prints the exact schedule that produced it.
 //
-// The operation mixes and expected schedule counts for the three rings are
-// GENERATED from the protocol IR the static certifier exports
+// The operation mixes and expected schedule counts for the rings (buffer
+// queue, doorbell, and the lap ring under both its stores) are GENERATED
+// from the protocol IR the static certifier exports
 // (tests/generated_model_schedules.h — see tools/flipc_static_audit
 // --emit-schedules): when the wait-free protocol changes, the drift ctest
 // regenerates the seeds rather than this file silently model-checking a
 // stale operation mix. The drop-counter tests at the bottom are documented
 // extras — the structure is a counter, not one of the generated rings.
+#include <cstddef>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -392,6 +395,94 @@ class HandoffModel {
   std::size_t popped_ = 0;
 };
 
+// ---- Byte-slot ring: the same lap protocol over caller-owned bytes ---------
+//
+// The thread fabric's wire ring (sending planner -> receiving distributor).
+// A refused attempt keeps its frame and retries it, as the wire sender
+// keeps a message at the head of its send queue, so the model also proves
+// the back-pressure handshake: a refusal happens exactly at capacity, the
+// next pop reports the ring was full (the un-stall wakeup), and the retry
+// lands in the freed slot with every frame popped once, in order, intact.
+class ByteRingModel {
+ public:
+  static constexpr std::uint32_t kCapacity = gen::kModelCapacity;
+  static constexpr std::size_t kSlotBytes = 16;
+
+  void Reset() {
+    // Garbage-filled like an uninitialised mapping: validity must come
+    // from the tags, never from the slot bytes.
+    ring_.reset();  // before its tags go
+    storage_.assign(kCapacity * kSlotBytes, std::byte{0xee});
+    tags_ = std::make_unique<SingleWriterCell<std::uint32_t>[]>(kCapacity);
+    ring_ = std::make_unique<SpscByteRing>(tags_.get(), storage_.data(), kCapacity, kSlotBytes,
+                                           /*producer_shard=*/0, /*consumer_shard=*/1);
+    next_ = 0;
+    popped_ = 0;
+    stalled_ = false;
+  }
+
+  // Producer op: sending planner (shard 0) attempts frame next_.
+  void ProducerAttempt(const std::string& schedule) {
+    ScopedBoundaryRole producer(Writer::kEngine, /*shard=*/0);
+    const std::uint32_t free_slots = ring_->FreeSlots();
+    std::byte* slot = ring_->Claim();
+    ASSERT_EQ(slot == nullptr, free_slots == 0) << schedule;
+    if (slot == nullptr) {
+      ASSERT_EQ(next_ - popped_, kCapacity) << "refused below capacity in " << schedule;
+      stalled_ = true;  // The frame stays with the producer for a retry.
+      return;
+    }
+    // A lower bound (the producer re-reads the head only when its cached
+    // view is full), and 0 only when the ring really is full.
+    ASSERT_GT(free_slots, 0u) << schedule;
+    ASSERT_LE(free_slots, kCapacity - (next_ - popped_)) << schedule;
+    for (std::size_t i = 0; i < kSlotBytes; ++i) {
+      slot[i] = FrameByte(next_, i);
+    }
+    ring_->Publish();
+    ++next_;
+  }
+
+  // Consumer op: receiving distributor (shard 1) pops and verifies a frame.
+  void ConsumerPop(const std::string& schedule) {
+    ScopedBoundaryRole consumer(Writer::kEngine, /*shard=*/1);
+    const std::byte* slot = ring_->Peek();
+    if (slot == nullptr) {
+      ASSERT_EQ(popped_, next_) << "published frame not visible in " << schedule;
+      return;
+    }
+    for (std::size_t i = 0; i < kSlotBytes; ++i) {
+      ASSERT_EQ(slot[i], FrameByte(popped_, i)) << "torn or misordered frame in " << schedule;
+    }
+    const bool full_before = next_ - popped_ == kCapacity;
+    const bool was_full = ring_->Release();
+    ASSERT_EQ(was_full, full_before) << "wrong un-stall signal in " << schedule;
+    if (stalled_) {
+      ASSERT_TRUE(was_full) << "stalled producer never woken in " << schedule;
+      stalled_ = false;
+    }
+    ++popped_;
+  }
+
+  void CheckInvariants(const std::string& schedule) {
+    ASSERT_LE(popped_, next_) << schedule;
+    ASSERT_EQ(ring_->PendingCount(), next_ - popped_) << schedule;
+    ASSERT_EQ(ring_->HasPending(), popped_ < next_) << schedule;
+  }
+
+ private:
+  static std::byte FrameByte(std::uint32_t frame, std::size_t i) {
+    return static_cast<std::byte>(frame * kSlotBytes + i);
+  }
+
+  std::vector<std::byte> storage_;
+  std::unique_ptr<SingleWriterCell<std::uint32_t>[]> tags_;
+  std::unique_ptr<SpscByteRing> ring_;
+  std::uint32_t next_ = 0;    // frames published
+  std::uint32_t popped_ = 0;  // frames popped
+  bool stalled_ = false;      // a refusal not yet answered by a pop
+};
+
 TEST(ModelCheck, HandoffRingWrapInterleavings) {
   HandoffModel model;
   std::string current_schedule;
@@ -422,6 +513,30 @@ TEST(ModelCheck, HandoffRingWrapInterleavings) {
       },
       [&] { model.Reset(); });
   EXPECT_EQ(schedules, gen::kHandoffWrapSchedules);
+
+  // The byte-slot store over the same protocol: refusal, un-stall signal
+  // and retry in every interleaving.
+  ByteRingModel bytes;
+  std::vector<std::function<void()>> attempt_ops;
+  for (unsigned i = 0; i < gen::kByteRingPushAttempts; ++i) {
+    attempt_ops.emplace_back([&] { bytes.ProducerAttempt(current_schedule); });
+  }
+  std::vector<std::function<void()>> pop_ops;
+  for (unsigned i = 0; i < gen::kByteRingPopOps; ++i) {
+    pop_ops.emplace_back([&] { bytes.ConsumerPop(current_schedule); });
+  }
+  int byte_schedules = 0;
+  ForAllInterleavings(
+      attempt_ops, pop_ops,
+      [&](const std::string& schedule) {
+        current_schedule = schedule;
+        bytes.CheckInvariants(schedule);
+        if (schedule.size() == attempt_ops.size() + pop_ops.size()) {
+          ++byte_schedules;
+        }
+      },
+      [&] { bytes.Reset(); });
+  EXPECT_EQ(byte_schedules, gen::kByteRingSchedules);
 }
 
 // ---- Drop counter: engine drops vs application read-and-reset --------------

@@ -56,11 +56,14 @@ _STRUCTURES = [
         ],
     ),
     (
-        "handoff_ring",
-        "SpscHandoffRing",
+        "lap_ring (handoff ring and byte-slot wire ring)",
+        "SpscLapRing",
         [
-            ("Push", "engine shard 0 (producer)"),
-            ("Pop", "engine shard 1 (consumer)"),
+            ("FreeSlots", "engine producer"),
+            ("ClaimSlot", "engine producer"),
+            ("PublishSlot", "engine producer"),
+            ("PeekSlot", "engine consumer"),
+            ("ReleaseSlot", "engine consumer"),
         ],
     ),
 ]
@@ -113,6 +116,12 @@ def generate_header(ir_doc: dict) -> str:
     #   handoff wrap:   2C pushes vs C+1 pops — early-pop schedules carry
     #                   positions C..2C-1 into the second lap (stale-tag
     #                   coverage), late-pop schedules hit the full refusal.
+    #   byte ring:      2C+1 push attempts vs C+1 pops over the same lap
+    #                   protocol with byte slots; a refused attempt retries
+    #                   the same frame (the wire sender keeps the message at
+    #                   the head of its queue), so late-pop schedules refuse,
+    #                   pop with the un-stall signal, then retry into the
+    #                   freed slot.
     queue_steady_app = "RR" + "AR" * (c - 3) + "A"
     queue_steady_engine = c
     queue_full_releases = c + 2
@@ -124,6 +133,8 @@ def generate_header(ir_doc: dict) -> str:
     overflow_engine = "PA" * 2
     handoff_pushes = 2 * c
     handoff_pops = c + 1
+    byte_push_attempts = 2 * c + 1
+    byte_pops = c + 1
 
     def schedules(a: int, b: int) -> int:
         return comb(a + b, b)
@@ -154,7 +165,7 @@ def generate_header(ir_doc: dict) -> str:
     w("")
     w("namespace flipc::generated_schedules {")
     w("")
-    w("// Ring capacity shared by the queue, doorbell and handoff models.")
+    w("// Ring capacity shared by the queue, doorbell and lap-ring models.")
     w(f"inline constexpr unsigned kModelCapacity = {c};")
     w("")
     w("// Buffer queue, steady-state: release/acquire mix ('R'/'A') vs engine")
@@ -200,6 +211,15 @@ def generate_header(ir_doc: dict) -> str:
     w(
         f"inline constexpr int kHandoffWrapSchedules = "
         f"{schedules(handoff_pushes, handoff_pops)};"
+    )
+    w("")
+    w("// Byte-slot ring, refusal and retry: push attempts (a refused attempt")
+    w("// retries the same frame) vs pops one past capacity.")
+    w(f"inline constexpr unsigned kByteRingPushAttempts = {byte_push_attempts};")
+    w(f"inline constexpr unsigned kByteRingPopOps = {byte_pops};")
+    w(
+        f"inline constexpr int kByteRingSchedules = "
+        f"{schedules(byte_push_attempts, byte_pops)};"
     )
     w("")
     w("}  // namespace flipc::generated_schedules")
