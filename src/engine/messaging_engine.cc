@@ -15,6 +15,26 @@ using shm::EndpointType;
 using waitfree::BufferIndex;
 using waitfree::MsgState;
 
+namespace {
+
+// Holds a wire's delivery notifications for `lane` while one work unit
+// runs, and sends them — one per destination — when it ends.
+class DeliveryBatch {
+ public:
+  DeliveryBatch(simnet::Wire& wire, std::uint32_t lane) : wire_(wire), lane_(lane) {
+    wire_.HoldDeliveries(lane_);
+  }
+  ~DeliveryBatch() { wire_.FlushDeliveries(lane_); }
+  DeliveryBatch(const DeliveryBatch&) = delete;
+  DeliveryBatch& operator=(const DeliveryBatch&) = delete;
+
+ private:
+  simnet::Wire& wire_;
+  std::uint32_t lane_;
+};
+
+}  // namespace
+
 MessagingEngine::MessagingEngine(shm::CommBuffer& comm, simnet::Wire& wire,
                                  EngineOptions options, const PlatformModel* model,
                                  simos::SemaphoreTable* semaphores)
@@ -29,7 +49,6 @@ MessagingEngine::MessagingEngine(shm::CommBuffer& comm, simnet::Wire& wire,
       bucket_refill_at_(comm.max_endpoints(), 0),
       head_seen_count_(comm.max_endpoints(), kNoHeadSeen),
       head_seen_at_(comm.max_endpoints(), 0),
-      scratch_taken_(comm.max_endpoints(), 0),
       active_(comm.max_endpoints()),
       in_active_(comm.max_endpoints(), 0) {
   // Batch + selection storage is sized here, once: the plan path must
@@ -64,14 +83,6 @@ Status MessagingEngine::RegisterProtocol(std::uint32_t protocol_id, ProtocolHand
 }
 
 bool MessagingEngine::EndpointBlocked(std::uint32_t) const { return false; }
-
-bool MessagingEngine::WireStalled(std::uint32_t endpoint) {
-  const BufferIndex buffer = comm_.queue(endpoint).PeekProcess();
-  if (buffer == waitfree::kInvalidBuffer || !comm_.IsValidBufferIndex(buffer)) {
-    return false;  // No destination: the commit path rejects it.
-  }
-  return wire_.FreeSlots(shard_id_, comm_.msg(buffer).header->peer_address().node()) == 0;
-}
 
 bool MessagingEngine::SendReady(std::uint32_t endpoint, TimeNs now) const {
   const EndpointRecord& record = comm_.endpoint(endpoint);
@@ -247,8 +258,6 @@ bool MessagingEngine::SelectBatchFromActive() {
   // endpoint that was in the list at entry is examined at most once;
   // rotated entries land behind the sentinel count.
   scratch_ready_.clear();
-  bool class_ready[shm::kQosClassCount] = {};
-  std::uint32_t ready_classes = 0;
   std::size_t rotations = active_.size();
   while (rotations-- > 0) {
     const std::uint32_t endpoint = active_.front();
@@ -276,22 +285,51 @@ bool MessagingEngine::SelectBatchFromActive() {
       active_.push_back(endpoint);
       continue;
     }
-    if (WireStalled(endpoint)) {
-      // Its destination's wire ring is full. Not ready: it must neither
-      // win class selection nor earn credit, or a class whose traffic
-      // waits on a stalled receiver would block the classes that can
-      // send. The receiver's un-stall kick wakes this planner.
-      active_.push_back(endpoint);
+    const bool real_time = record.deadline_ns.ReadRelaxed() != 0;
+    // Capacity reserved at construction.
+    scratch_ready_.push_back({endpoint, QosClassOf(record), waitfree::kInvalidBuffer,
+                              kNoDestination, real_time ? HeadDeadline(endpoint, record) : 0,
+                              real_time, false});
+  }
+  if (scratch_ready_.empty()) {
+    return false;
+  }
+
+  // ---- Head reads: every ready head cell, then every head header, once
+  // per plan and in two tight loops, so the cross-core misses overlap. A
+  // head buffer the commit path will reject (sentinel or out-of-range
+  // index) has no determinate destination.
+  for (ReadyCandidate& candidate : scratch_ready_) {
+    candidate.buffer = comm_.queue(candidate.endpoint).PeekProcess();
+  }
+  for (ReadyCandidate& candidate : scratch_ready_) {
+    if (candidate.buffer != waitfree::kInvalidBuffer &&
+        comm_.IsValidBufferIndex(candidate.buffer)) {
+      candidate.node = comm_.msg(candidate.buffer).header->peer_address().node();
+    }
+  }
+
+  // ---- Wire-stall filter, then class readiness. A head bound for a node
+  // whose wire ring on this planner's lane is full is not ready: it must
+  // neither win class selection nor earn credit, or a class whose traffic
+  // waits on a stalled receiver would block the classes that can send.
+  // The receiver's un-stall kick wakes this planner.
+  bool class_ready[shm::kQosClassCount] = {};
+  std::uint32_t ready_classes = 0;
+  std::size_t kept = 0;
+  for (const ReadyCandidate& candidate : scratch_ready_) {
+    if (candidate.node != kNoDestination &&
+        wire_.FreeSlots(shard_id_, static_cast<NodeId>(candidate.node)) == 0) {
+      active_.push_back(candidate.endpoint);
       continue;
     }
-    scratch_taken_[endpoint] = 0;
-    scratch_ready_.push_back(endpoint);  // Capacity reserved at construction.
-    const std::uint32_t cls = QosClassOf(record);
-    if (!class_ready[cls]) {
-      class_ready[cls] = true;
+    scratch_ready_[kept++] = candidate;
+    if (!class_ready[candidate.qos_class]) {
+      class_ready[candidate.qos_class] = true;
       ++ready_classes;
     }
   }
+  scratch_ready_.resize(kept);  // Shrinks: never allocates.
   if (scratch_ready_.empty()) {
     return false;
   }
@@ -325,64 +363,53 @@ bool MessagingEngine::SelectBatchFromActive() {
     }
   }
 
-  // ---- Pass 2: fill the batch from the serving class. Real-time
-  // endpoints (deadline_ns != 0) preempt non-RT ones, earliest head
-  // deadline first (EDF); non-RT candidates keep rotation order.
-  // Same-destination coalescing filters candidates: a head buffer the
-  // commit path will reject (sentinel or out-of-range index) has no
-  // determinate destination and joins any batch as a rejection. The
-  // destination's free wire slots (at least one, pass 1 saw to that) cap
-  // the batch.
+  // ---- Pass 2: fill the batch from the serving class, reading only the
+  // scratch array. Real-time endpoints (deadline_ns != 0) preempt non-RT
+  // ones, earliest head deadline first (EDF); non-RT candidates keep
+  // rotation order. Same-destination coalescing filters candidates; a head
+  // without a destination joins any batch as a rejection. The
+  // destination's free wire slots (at least one, the stall filter saw to
+  // that) cap the batch.
   const std::size_t ready_count = scratch_ready_.size();
-  std::uint16_t batch_node = 0;
-  bool have_node = false;
+  std::uint32_t batch_node = kNoDestination;
   FLIPC_BOUNDED_BY(options_.transmit_batch);
   while (planned_batch_.size() < batch_limit) {
     std::size_t best = ready_count;
-    bool best_rt = false;
-    TimeNs best_deadline = 0;
     FLIPC_BOUNDED_BY(scratch_ready_.size());
     for (std::size_t idx = 0; idx < ready_count; ++idx) {
-      const std::uint32_t endpoint = scratch_ready_[idx];
-      if (scratch_taken_[endpoint] != 0) {
+      const ReadyCandidate& candidate = scratch_ready_[idx];
+      if (candidate.taken || candidate.qos_class != serve_class) {
         continue;
       }
-      const EndpointRecord& record = comm_.endpoint(endpoint);
-      if (QosClassOf(record) != serve_class) {
-        continue;
-      }
-      const BufferIndex buffer = comm_.queue(endpoint).PeekProcess();
-      if (have_node && buffer != waitfree::kInvalidBuffer &&
-          comm_.IsValidBufferIndex(buffer) &&
-          comm_.msg(buffer).header->peer_address().node() != batch_node) {
+      if (batch_node != kNoDestination && candidate.node != kNoDestination &&
+          candidate.node != batch_node) {
         continue;  // Different destination: next transmit unit's problem.
       }
-      const bool rt = record.deadline_ns.ReadRelaxed() != 0;
-      const TimeNs deadline = rt ? HeadDeadline(endpoint, record) : 0;
-      if (best == ready_count || (rt && !best_rt) ||
-          (rt && best_rt && deadline < best_deadline)) {
+      if (best == ready_count) {
         best = idx;
-        best_rt = rt;
-        best_deadline = deadline;
+        continue;
+      }
+      const ReadyCandidate& incumbent = scratch_ready_[best];
+      if ((candidate.real_time && !incumbent.real_time) ||
+          (candidate.real_time && incumbent.real_time &&
+           candidate.deadline < incumbent.deadline)) {
+        best = idx;
       }
     }
     if (best == ready_count) {
       break;  // Serving class exhausted (or blocked on destination mix).
     }
-    const std::uint32_t endpoint = scratch_ready_[best];
-    scratch_taken_[endpoint] = 1;
-    if (!have_node) {
-      const BufferIndex buffer = comm_.queue(endpoint).PeekProcess();
-      if (buffer != waitfree::kInvalidBuffer && comm_.IsValidBufferIndex(buffer)) {
-        batch_node = comm_.msg(buffer).header->peer_address().node();
-        have_node = true;
-        const std::uint32_t free_slots = wire_.FreeSlots(shard_id_, batch_node);
-        if (free_slots < batch_limit) {
-          batch_limit = free_slots;
-        }
+    ReadyCandidate& chosen = scratch_ready_[best];
+    chosen.taken = true;
+    if (batch_node == kNoDestination && chosen.node != kNoDestination) {
+      batch_node = chosen.node;
+      const std::uint32_t free_slots =
+          wire_.FreeSlots(shard_id_, static_cast<NodeId>(batch_node));
+      if (free_slots < batch_limit) {
+        batch_limit = free_slots;
       }
     }
-    planned_batch_.push_back(endpoint);
+    planned_batch_.push_back(chosen.endpoint);
     if (competing) {
       FLIPC_BOUNDED_BY(shm::kQosClassCount);
       for (std::uint32_t cls = 0; cls < shm::kQosClassCount; ++cls) {
@@ -403,11 +430,9 @@ bool MessagingEngine::SelectBatchFromActive() {
   // Ready endpoints that did not make this batch stay scheduled: rotate
   // them to the back of the active list (their in_active_ bit never
   // dropped, so doorbells rung meanwhile were deduplicated correctly).
-  FLIPC_BOUNDED_BY(scratch_ready_.size());
-  for (std::size_t idx = 0; idx < ready_count; ++idx) {
-    const std::uint32_t endpoint = scratch_ready_[idx];
-    if (scratch_taken_[endpoint] == 0) {
-      active_.push_back(endpoint);
+  for (const ReadyCandidate& candidate : scratch_ready_) {
+    if (!candidate.taken) {
+      active_.push_back(candidate.endpoint);
     }
   }
   return !planned_batch_.empty();
@@ -600,6 +625,9 @@ bool MessagingEngine::CommitStep() {
   if (planned_ == WorkKind::kNone) {
     PlanStep();
   }
+  // Whatever this unit transmits — a batch, a handler's sends — notifies
+  // each destination once, when the unit ends (DESIGN.md §12).
+  const DeliveryBatch deliveries(wire_, shard_id_);
   simnet::CostAccumulator cost;  // Already accounted by the driver via PlanStep.
   const WorkKind kind = planned_;
   const DurationNs committed_cost = planned_cost_;
@@ -673,6 +701,11 @@ bool MessagingEngine::CommitStep() {
 
 bool MessagingEngine::Step() {
   PlanStep();
+  if (planned_ == WorkKind::kNone) {
+    // Nothing to do. CommitStep would plan a second time, and an idle
+    // engine would pay two plans (and two no-candidate sweeps) per Step.
+    return false;
+  }
   return CommitStep();
 }
 
@@ -935,9 +968,10 @@ void MessagingEngine::TransmitMessage(std::uint32_t endpoint_index, BufferIndex 
     // fabric copies it from the comm buffer straight into this planner's
     // ring slot (no allocation, no lock); the simulated wire copies it into
     // an owning Packet on the fabric's event queue — simulation machinery.
-    // Either fabric then fires its delivery callback, which kicks the
-    // receiving engine's host thread. Exempt from the hot-path guards for
-    // the simulated wire and the kick.
+    // The receiving engine's kick is not sent from here: the thread fabric
+    // holds it until the work unit ends (CommitStep), the simulated wire
+    // sends it at arrival. Exempt from the hot-path guards for the
+    // simulated wire's Packet.
     FLIPC_HOT_PATH_EXEMPT("simulated-wire DMA and fabric enqueue");
     simnet::PacketHeader header;
     header.dst_node = dst.node();

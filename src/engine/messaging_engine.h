@@ -406,11 +406,6 @@ class MessagingEngine {
   // throttled and wire-stalled ones rotate to the back.
   bool SelectBatchFromActive();
 
-  // True when the endpoint's head message is bound for a node whose wire
-  // ring on this planner's lane is full (never on a wire that does not
-  // refuse).
-  bool WireStalled(std::uint32_t endpoint);
-
   // True when `endpoint` is a send endpoint with processable work that is
   // not blocked (KKT in-flight) or throttled (rate limit).
   bool SendReady(std::uint32_t endpoint, TimeNs now) const;
@@ -526,10 +521,21 @@ class MessagingEngine {
   static constexpr std::int64_t kQosCreditClamp = 1 << 20;
   std::array<std::int64_t, shm::kQosClassCount> class_credit_{};
   // Selection scratch (capacity reserved at construction; the plan path
-  // must never allocate): pass-1 ready candidates in rotation order and
-  // the taken flag per scratch position.
-  std::vector<std::uint32_t> scratch_ready_;
-  std::vector<char> scratch_taken_;
+  // must never allocate): pass-1 ready candidates in rotation order, with
+  // everything pass 2 needs, so pass 2 reads no comm-buffer line.
+  static constexpr std::uint32_t kNoDestination = 0xffffffffu;
+  struct ReadyCandidate {
+    std::uint32_t endpoint;
+    std::uint32_t qos_class;
+    // Head buffer and its destination node; kNoDestination when the head
+    // is a buffer the commit path will reject (sentinel or out of range).
+    waitfree::BufferIndex buffer;
+    std::uint32_t node;
+    TimeNs deadline;  // absolute head deadline; 0 for non-real-time
+    bool real_time;
+    bool taken;
+  };
+  std::vector<ReadyCandidate> scratch_ready_;
 
   static constexpr std::uint32_t kMaxProtocols = 8;
   std::array<ProtocolHandler*, kMaxProtocols> handlers_{};

@@ -262,10 +262,19 @@ constexpr std::size_t kHeapStorageLimit = std::size_t{1} << 20;
 // distributor) is the only consumer of every ring into the node, and
 // polls them round-robin. No lock and no allocation on either side: a
 // frame is copied into its slot and out of it, and Poll reuses the
-// capacity of the caller's payload vector.
+// capacity of the caller's payload vector. A held lane collects the
+// destinations it transmitted to and calls each one's delivery callback
+// once at the flush: a kick costs locked read-modify-writes on the
+// receiver's runner, so a batch pays for one, not one per packet.
 class ThreadFabric::ThreadWire final : public Wire {
  public:
-  ThreadWire(ThreadFabric& fabric, NodeId node) : fabric_(fabric), node_(node) {}
+  // `node_count` is the fabric's: its wires are still being built.
+  ThreadWire(ThreadFabric& fabric, NodeId node, std::uint32_t node_count)
+      : fabric_(fabric), node_(node), held_(fabric.options_.lanes) {
+    for (HeldDeliveries& held : held_) {
+      held.destinations.reserve(node_count);
+    }
+  }
 
   // Collects the rings into this node, once every ring exists.
   void BindInbound() {
@@ -301,11 +310,36 @@ class ThreadFabric::ThreadWire final : public Wire {
       std::memcpy(slot + sizeof(frame), payload, size);
     }
     ring.Publish();
-    const std::function<void()>& delivered = fabric_.delivery_[header.dst_node];
-    if (delivered) {
-      delivered();
+    HeldDeliveries& held = held_[lane];
+    if (!held.holding) {
+      Notify(header.dst_node);
+      return OkStatus();
     }
+    for (const NodeId dst : held.destinations) {
+      if (dst == header.dst_node) {
+        return OkStatus();  // Already due a notification at the flush.
+      }
+    }
+    held.destinations.push_back(header.dst_node);  // Reserved: node_count entries.
     return OkStatus();
+  }
+
+  void HoldDeliveries(std::uint32_t lane) override {
+    if (lane < held_.size()) {
+      held_[lane].holding = true;
+    }
+  }
+
+  void FlushDeliveries(std::uint32_t lane) override {
+    if (lane >= held_.size()) {
+      return;
+    }
+    HeldDeliveries& held = held_[lane];
+    held.holding = false;
+    for (const NodeId dst : held.destinations) {
+      Notify(dst);
+    }
+    held.destinations.clear();
   }
 
   std::size_t MaxPayload() const override { return fabric_.options_.max_payload; }
@@ -364,10 +398,26 @@ class ThreadFabric::ThreadWire final : public Wire {
   NodeId node() const override { return node_; }
 
  private:
+  // One sending lane's held notifications; written only by that lane's
+  // planner, and a cache line of its own so the node's planners do not
+  // share one.
+  struct alignas(kCacheLineSize) HeldDeliveries {
+    bool holding = false;
+    std::vector<NodeId> destinations;  // distinct, in first-transmit order
+  };
+
+  void Notify(NodeId dst) {
+    const std::function<void()>& delivered = fabric_.delivery_[dst];
+    if (delivered) {
+      delivered();
+    }
+  }
+
   ThreadFabric& fabric_;
   NodeId node_;
   std::vector<waitfree::SpscByteRing*> inbound_;  // by src * lanes + lane
   std::size_t next_ = 0;                          // consumer-private rotation
+  std::vector<HeldDeliveries> held_;              // by lane
 };
 
 ThreadFabric::ThreadFabric(std::uint32_t node_count, Options options) : options_(options) {
@@ -412,7 +462,7 @@ ThreadFabric::ThreadFabric(std::uint32_t node_count, Options options) : options_
   unstall_.resize(static_cast<std::size_t>(node_count) * options_.lanes);
   wires_.reserve(node_count);
   for (NodeId n = 0; n < node_count; ++n) {
-    wires_.push_back(std::make_unique<ThreadWire>(*this, n));
+    wires_.push_back(std::make_unique<ThreadWire>(*this, n, node_count));
   }
   for (auto& wire : wires_) {
     wire->BindInbound();

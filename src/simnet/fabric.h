@@ -76,6 +76,15 @@ class Wire {
     return kUnboundedSlots;
   }
 
+  // Delivery notifications for one sending work unit. Between
+  // HoldDeliveries and FlushDeliveries, `lane`'s transmits notify each
+  // destination once, at the flush, instead of once per packet. Outside a
+  // hold every transmit notifies at once. Only the lane's producer calls
+  // these. The default does nothing (the simulated wire notifies from the
+  // event loop, at arrival).
+  virtual void HoldDeliveries(std::uint32_t /*lane*/) {}
+  virtual void FlushDeliveries(std::uint32_t /*lane*/) {}
+
   // Retrieves the next delivered packet, if any.
   virtual bool Poll(Packet* out) = 0;
 

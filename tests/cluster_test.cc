@@ -238,6 +238,70 @@ TEST(Cluster, ManyToOneTrafficNoLoss) {
   EXPECT_EQ(sink->DropCount(), 0u);
 }
 
+// A work unit that transmits several packets to one node notifies that
+// node once, when the unit ends, not once per packet. Eight senders queue
+// their messages before the engines start, so node 0's first plan batches
+// one message from each and the batches are multi-packet by construction.
+// Node 1 only receives, so every kick its runner counts is a delivery
+// notification from node 0.
+TEST(Cluster, BatchNotifiesEachDestinationOncePerWorkUnit) {
+  constexpr int kSenders = 8;
+  constexpr int kPerSender = 4;
+  Cluster::Options options;
+  options.node_count = 2;
+  options.comm.message_size = 64;
+  options.comm.buffer_count = 256;
+  options.comm.max_endpoints = 16;
+  auto created = Cluster::Create(options);
+  ASSERT_TRUE(created.ok());
+  auto cluster = std::move(created).value();
+
+  Domain& sink_domain = cluster->domain(1);
+  auto sink = sink_domain.CreateEndpoint(
+      {.type = shm::EndpointType::kReceive, .queue_depth = 64});
+  ASSERT_TRUE(sink.ok());
+  for (int i = 0; i < kSenders * kPerSender; ++i) {
+    auto buffer = sink_domain.AllocateBuffer();
+    ASSERT_TRUE(buffer.ok());
+    ASSERT_TRUE(sink->PostBuffer(*buffer).ok());
+  }
+  Domain& source = cluster->domain(0);
+  std::vector<Endpoint> senders;
+  for (int s = 0; s < kSenders; ++s) {
+    auto tx = source.CreateEndpoint(
+        {.type = shm::EndpointType::kSend, .queue_depth = kPerSender});
+    ASSERT_TRUE(tx.ok());
+    for (int i = 0; i < kPerSender; ++i) {
+      auto msg = source.AllocateBuffer();
+      ASSERT_TRUE(msg.ok());
+      *msg->As<std::uint32_t>() = static_cast<std::uint32_t>((s << 16) | i);
+      ASSERT_TRUE(tx->Send(*msg, sink->address()).ok());
+    }
+    senders.push_back(*tx);
+  }
+  cluster->Start();
+
+  std::uint32_t next_seq[kSenders] = {};
+  for (int received = 0; received < kSenders * kPerSender; ++received) {
+    auto message = PollUntilOk([&] { return sink->Receive(); });
+    ASSERT_TRUE(message.ok());
+    const std::uint32_t value = *message->As<std::uint32_t>();
+    const std::uint32_t sender = value >> 16;
+    ASSERT_LT(sender, static_cast<std::uint32_t>(kSenders));
+    EXPECT_EQ(value & 0xffff, next_seq[sender]++);  // per-pair FIFO
+  }
+  EXPECT_EQ(sink->DropCount(), 0u);
+
+  // Read the kick count before Stop, which kicks every runner once more;
+  // read the engine's stats after it, once its thread is gone.
+  const std::uint64_t delivery_kicks = cluster->runner(1).kicks();
+  cluster->Stop();
+  const engine::EngineStats stats = cluster->aggregate_stats(0);
+  EXPECT_EQ(stats.messages_sent, static_cast<std::uint64_t>(kSenders * kPerSender));
+  ASSERT_GT(stats.batched_messages, stats.transmit_batches);  // multi-packet units ran
+  EXPECT_LE(delivery_kicks, stats.transmit_batches);
+}
+
 TEST(Cluster, ShardedNodeDeliversAcrossHandoff) {
   // Two planner shards per node over the shared transmit backend. Endpoints
   // on shard 1 of the receiving node are reachable only through the

@@ -493,6 +493,16 @@ TEST_F(EngineTest, PlanIsIdempotentUntilCommit) {
   EXPECT_FALSE(engine_[0]->CommitStep());
 }
 
+// An idle Step plans once and commits nothing; committing an empty plan
+// would plan (and run the no-candidate sweep) a second time.
+TEST_F(EngineTest, IdleStepPlansOnce) {
+  MakeEndpoint(0, EndpointType::kSend);
+  EXPECT_FALSE(engine_[0]->Step());
+  EXPECT_EQ(engine_[0]->stats().outbound_plans, 1u);
+  EXPECT_EQ(engine_[0]->stats().sweeps_no_candidate, 1u);
+  EXPECT_EQ(engine_[0]->stats().work_units, 0u);
+}
+
 TEST_F(EngineTest, HasWorkTracksState) {
   EXPECT_FALSE(engine_[0]->HasWork());
   const std::uint32_t tx = MakeEndpoint(0, EndpointType::kSend);
@@ -787,6 +797,95 @@ TEST_F(EngineTest, RecoverFromBufferRebuildsSchedulingState) {
   EXPECT_EQ(engine_[1]->stats().messages_delivered, 3u);
   EXPECT_EQ(comm_[0]->telemetry(tx).engine_transmits.Read(), 3u);
   EXPECT_EQ(comm_[0]->endpoint(tx).processed_total.Read(), 3u);
+}
+
+// ------------------------- Head reads and coalescing -----------------------
+
+// Same-destination coalescing reads each head once per plan. With heads
+// bound for two nodes interleaved in rotation order, and one head holding
+// an out-of-range buffer index, every batch still goes to one node, and
+// the bad head rides along as a rejection.
+TEST(EngineCoalescing, InterleavedDestinationsBatchPerNode) {
+  simnet::Simulator sim;
+  PlatformModel model;
+  simnet::SimFabric fabric(sim, std::make_unique<simnet::MeshLinkModel>(), 3);
+  shm::CommBufferConfig config;
+  config.message_size = 128;
+  config.buffer_count = 32;
+  config.max_endpoints = 8;
+  std::unique_ptr<CommBuffer> comm[3];
+  std::unique_ptr<MessagingEngine> engine[3];
+  for (NodeId n = 0; n < 3; ++n) {
+    auto created = CommBuffer::Create(config);
+    ASSERT_TRUE(created.ok());
+    comm[n] = std::move(created).value();
+    engine[n] = std::make_unique<MessagingEngine>(*comm[n], fabric.wire(n), EngineOptions(),
+                                                  &model);
+  }
+  const auto make_endpoint = [&](NodeId node, EndpointType type) {
+    CommBuffer::EndpointParams params;
+    params.type = type;
+    params.queue_capacity = 8;
+    auto index = comm[node]->AllocateEndpoint(params);
+    EXPECT_TRUE(index.ok());
+    return *index;
+  };
+  std::uint32_t rx[3] = {0, 0, 0};
+  for (NodeId n = 1; n < 3; ++n) {
+    rx[n] = make_endpoint(n, EndpointType::kReceive);
+    for (int i = 0; i < 8; ++i) {
+      auto buffer = comm[n]->AllocateBuffer();
+      ASSERT_TRUE(buffer.ok());
+      ASSERT_TRUE(comm[n]->queue(rx[n]).Release(*buffer));
+    }
+  }
+
+  // Rotation order (slot order; the no-candidate sweep activates them):
+  // ->1, ->2, ->1, bad index, ->2, ->1.
+  const int kDestinations[] = {1, 2, 1, -1, 2, 1};
+  std::uint32_t bad = 0;
+  for (const int node : kDestinations) {
+    const std::uint32_t tx = make_endpoint(0, EndpointType::kSend);
+    if (node < 0) {
+      bad = tx;
+      ASSERT_TRUE(comm[0]->queue(tx).Release(0xdeadbeef));
+      continue;
+    }
+    auto buffer = comm[0]->AllocateBuffer();
+    ASSERT_TRUE(buffer.ok());
+    comm[0]->msg(*buffer).header->set_peer_address(
+        Address(static_cast<std::uint16_t>(node), static_cast<std::uint16_t>(rx[node])));
+    ASSERT_TRUE(comm[0]->queue(tx).Release(*buffer));
+  }
+  const auto deliver = [&] {
+    sim.Run();
+    for (NodeId n = 1; n < 3; ++n) {
+      while (engine[n]->Step()) {
+      }
+    }
+  };
+
+  // Unit 1: the three heads for node 1, plus the rejection.
+  ASSERT_TRUE(engine[0]->Step());
+  deliver();
+  EXPECT_EQ(engine[0]->stats().transmit_batches, 1u);
+  EXPECT_EQ(engine[0]->stats().batched_messages, 4u);
+  EXPECT_EQ(engine[0]->stats().validity_rejections, 1u);
+  EXPECT_EQ(engine[0]->stats().messages_sent, 3u);
+  EXPECT_EQ(engine[1]->stats().messages_delivered, 3u);
+  EXPECT_EQ(engine[2]->stats().messages_delivered, 0u);
+  // The bad head was consumed: completed back to the app, counted rejected.
+  EXPECT_EQ(comm[0]->queue(bad).AcquirableCount(), 1u);
+  EXPECT_EQ(comm[0]->telemetry(bad).engine_rejects.Read(), 1u);
+
+  // Unit 2: the two heads for node 2.
+  ASSERT_TRUE(engine[0]->Step());
+  deliver();
+  EXPECT_EQ(engine[0]->stats().transmit_batches, 2u);
+  EXPECT_EQ(engine[0]->stats().batched_messages, 6u);
+  EXPECT_EQ(engine[1]->stats().messages_delivered, 3u);
+  EXPECT_EQ(engine[2]->stats().messages_delivered, 2u);
+  EXPECT_FALSE(engine[0]->Step());
 }
 
 // ------------------------------- QoS planner --------------------------------
